@@ -8,6 +8,9 @@ All unweighted-graph forms. Conventions (paper §3/§4):
   classic modularity null model — degrees never change during peeling),
 * ``size`` — |C|.
 
+An edgeless graph (``m = 0``) has ``l_C = d_C = 0`` for every C, so the
+scalar forms define CM = DM = 0 there instead of dividing by zero.
+
 Both driver-side scalar forms (used inside the peel loops) and a Spark
 DataFrame form (used by jobs/tests to score communities distributed).
 """
@@ -25,6 +28,8 @@ from ..graphs.local import LocalGraph
 # ------------------------------------------------------------- scalar forms
 def classic_modularity(l_c: float, d_c: float, m: float) -> float:
     """CM(G,C) = (1/2|E|)(2 l_C − d_C²/(2|E|))  (Definition 1)."""
+    if m == 0:
+        return 0.0
     return (1.0 / (2.0 * m)) * (2.0 * l_c - d_c * d_c / (2.0 * m))
 
 
@@ -32,6 +37,8 @@ def density_modularity(l_c: float, d_c: float, size: int, m: float) -> float:
     """DM(G,C) = (1/2|C|)(2 l_C − d_C²/(2|E|))  (Definition 2, unweighted)."""
     if size <= 0:
         return float("-inf")
+    if m == 0:
+        return 0.0
     return (1.0 / (2.0 * size)) * (2.0 * l_c - d_c * d_c / (2.0 * m))
 
 

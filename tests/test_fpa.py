@@ -46,6 +46,12 @@ class TestInvariants:
         g, _ = karate()
         assert fpa(g, []) is None
 
+    def test_edgeless_graph_singleton(self):
+        from repro.graphs.local import LocalGraph
+
+        g = LocalGraph.from_edges([], nodes=[0, 1])
+        assert fpa(g, [0]) == {0}
+
     def test_whole_component_when_no_layers(self):
         from repro.graphs.local import LocalGraph
 

@@ -103,6 +103,11 @@ class TestFormulaIdentities:
     def test_density_ratio_infinite_when_isolated(self):
         assert density_ratio(5, 0) == float("inf")
 
+    def test_edgeless_graph_measures_zero(self):
+        # m = 0 forces l_C = d_C = 0: both measures are defined as 0
+        assert classic_modularity(0, 0, 0) == 0.0
+        assert density_modularity(0, 0, 2, 0) == 0.0
+
     def test_gmd_small_community(self):
         assert generalized_modularity_density(1, 2, 1, 10) == float("-inf")
 
