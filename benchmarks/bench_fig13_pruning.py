@@ -1,5 +1,5 @@
 """Figure 13 bench — layer-based pruning speedup (FPA vs FPA-no-prune)."""
-from repro.core import fpa, fpa_no_prune
+from repro.core import fpa
 
 
 def test_bench_fpa_pruned(benchmark, lfr_default, lfr_query):
@@ -10,5 +10,5 @@ def test_bench_fpa_pruned(benchmark, lfr_default, lfr_query):
 
 def test_bench_fpa_no_prune(benchmark, lfr_default, lfr_query):
     g, _ = lfr_default
-    r = benchmark(lambda: fpa_no_prune(g, lfr_query))
+    r = benchmark(lambda: fpa(g, lfr_query, prune=False))
     assert r

@@ -1,5 +1,5 @@
 """The paper's contribution: density modularity + DMCS algorithms."""
-from .fpa import fpa, fpa_no_prune
+from .fpa import fpa
 from .modularity import (
     classic_modularity,
     cm_of,
@@ -7,7 +7,6 @@ from .modularity import (
     density_ratio,
     dm_gain,
     dm_of,
-    dm_spark,
     generalized_modularity_density,
 )
 from .nca import nca, nca_dr
@@ -15,7 +14,6 @@ from .steiner import steiner_connector
 
 __all__ = [
     "fpa",
-    "fpa_no_prune",
     "nca",
     "nca_dr",
     "steiner_connector",
@@ -26,5 +24,4 @@ __all__ = [
     "dm_gain",
     "dm_of",
     "cm_of",
-    "dm_spark",
 ]

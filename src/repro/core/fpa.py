@@ -17,11 +17,15 @@ Variants:
   FPA as less effective, and its headline Figure 8 accuracy is only
   consistent with the un-pruned variant; Figure 13 is reproduced by
   jobs/e13_pruning.py with both settings.
+
+The layer peelers only choose and remove nodes: ``PeelState`` keeps the
+incumbent (Algorithm 1's best S) as a prefix of its removal log, and
+every path returns ``state.best()``.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..graphs.local import LocalGraph
 from .modularity import density_ratio, dm_gain
@@ -29,15 +33,7 @@ from .peel import PeelState
 from .steiner import steiner_connector
 
 
-def _layers_from(dist: Dict[int, int]) -> List[List[int]]:
-    layers: List[List[int]] = [[] for _ in range(max(dist.values()) + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    return layers
-
-
-def _peel_layer_ratio(state: PeelState, layer: List[int], measure: str,
-                      best: FrozenSet[int], best_score: float):
+def _peel_layer_ratio(state: PeelState, layer: List[int]) -> None:
     """Drain one layer in max-Θ order with a lazy-deletion heap."""
     heap = [(-density_ratio(state.deg[v], state.k[v]), state.k[v], v) for v in layer]
     heapq.heapify(heap)
@@ -47,20 +43,14 @@ def _peel_layer_ratio(state: PeelState, layer: List[int], measure: str,
         if u not in cand or state.k[u] != kv:
             continue  # stale entry
         cand.discard(u)
-        changed = state.remove(u)
-        for w in changed:
+        for w in state.remove(u):
             if w in cand:
                 heapq.heappush(
                     heap, (-density_ratio(state.deg[w], state.k[w]), state.k[w], w)
                 )
-        s = state.score(measure)
-        if s >= best_score:
-            best_score, best = s, frozenset(state.S)
-    return best, best_score
 
 
-def _peel_layer_dmg(state: PeelState, layer: List[int], measure: str,
-                    best: FrozenSet[int], best_score: float):
+def _peel_layer_dmg(state: PeelState, layer: List[int]) -> None:
     """Drain one layer in max-Λ order; Λ is unstable (Lemma 4) so it is
     recomputed over all remaining candidates each removal."""
     cand = set(layer)
@@ -68,10 +58,6 @@ def _peel_layer_dmg(state: PeelState, layer: List[int], measure: str,
         u = max(cand, key=lambda v: (dm_gain(state.k[v], state.d, state.deg[v], state.m), v))
         cand.discard(u)
         state.remove(u)
-        s = state.score(measure)
-        if s >= best_score:
-            best_score, best = s, frozenset(state.S)
-    return best, best_score
 
 
 def fpa(
@@ -91,15 +77,8 @@ def fpa(
     if any(q not in comp for q in qs):
         return None
     seed = steiner_connector(g, qs)  # connected ⊇ Q (singleton {q} if |Q|=1)
-    dist = g.bfs_dist(seed)
-    dist = {v: d for v, d in dist.items() if v in comp}
-    state = PeelState(g, comp)
-    best: FrozenSet[int] = frozenset(comp)
-    best_score = state.score(measure)
-    if max(dist.values()) == 0:
-        return set(best)
-    layers = _layers_from(dist)
-    peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
+    layers = g.bfs_layers(seed)  # the seed is inside comp, so are its layers
+    state = PeelState(g, comp, measure)
 
     if prune:
         # §5.7 — score each distance-prefix S_i = {v : dist(v) <= i} by
@@ -109,25 +88,16 @@ def fpa(
         # the distant layers node-by-node; the search space shrinks to
         # the chosen prefix, which is why the paper reports slightly
         # lower effectiveness than un-pruned FPA (Figure 13).
-        prefix_state = PeelState(g, comp)
-        scores = {len(layers) - 1: prefix_state.score(measure)}
+        scores = {len(layers) - 1: state.score(measure)}
         for i in range(len(layers) - 1, 0, -1):
             for v in layers[i]:
-                prefix_state.remove(v)
-            scores[i - 1] = prefix_state.score(measure)
+                state.remove(v)
+            scores[i - 1] = state.score(measure)
         i_star = max(scores, key=lambda i: (scores[i], -i))
-        keep = set().union(*(layers[: i_star + 1]))
-        state = PeelState(g, keep)
-        best, best_score = frozenset(keep), state.score(measure)
-        for i in range(i_star, 0, -1):
-            best, best_score = peel(state, list(layers[i]), measure, best, best_score)
-        return set(best)
+        layers = layers[: i_star + 1]
+        state = PeelState(g, set().union(*layers), measure)
 
-    for i in range(len(layers) - 1, 0, -1):
-        best, best_score = peel(state, list(layers[i]), measure, best, best_score)
-    return set(best)
-
-
-def fpa_no_prune(g: LocalGraph, queries: Iterable[int], **kw) -> Optional[Set[int]]:
-    """FPA without the §5.7 pruning strategy (Figure 13 comparison)."""
-    return fpa(g, queries, prune=False, **kw)
+    peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
+    for layer in reversed(layers[1:]):
+        peel(state, layer)
+    return state.best()

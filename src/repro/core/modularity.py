@@ -11,17 +11,13 @@ All unweighted-graph forms. Conventions (paper §3/§4):
 An edgeless graph (``m = 0``) has ``l_C = d_C = 0`` for every C, so the
 scalar forms define CM = DM = 0 there instead of dividing by zero.
 
-Both driver-side scalar forms (used inside the peel loops) and a Spark
-DataFrame form (used by jobs/tests to score communities distributed).
+Scalar forms (used inside the peel loops) and community-on-graph forms
+(used by the harness and tests to score a returned node set).
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Iterable, Set
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from ..graphs.graph import Graph
 from ..graphs.local import LocalGraph
 
 
@@ -66,11 +62,9 @@ def density_ratio(d_v: float, k_vs: float) -> float:
 
 
 # ------------------------------------------------- community-on-graph forms
-def community_stats(
-    g: LocalGraph, nodes: Iterable[int], degrees: Dict[int, int] | None = None
-) -> tuple[int, int]:
+def community_stats(g: LocalGraph, nodes: Iterable[int]) -> tuple[int, int]:
     """(l_C, d_C) of ``nodes`` against graph ``g`` (original degrees)."""
-    deg = degrees if degrees is not None else g.degrees()
+    deg = g.degrees()
     ns: Set[int] = set(nodes)
     l_c = g.internal_edges(ns)
     d_c = sum(deg[v] for v in ns if v in deg)
@@ -88,25 +82,3 @@ def cm_of(g: LocalGraph, nodes: Iterable[int]) -> float:
     l_c, d_c = community_stats(g, set(nodes))
     return classic_modularity(l_c, d_c, g.m)
 
-
-# -------------------------------------------------------------- Spark form
-def dm_spark(graph: Graph, members: DataFrame) -> float:
-    """Density modularity of a community given as a DataFrame of node ids.
-
-    Distributed evaluation: l_C via a two-sided semijoin on the canonical
-    edge table, d_C via the degree aggregation. Used by jobs and by tests
-    as the oracle for the driver-side incremental DM tracking.
-    """
-    ids = members.select(F.col(members.columns[0]).alias("id")).distinct().cache()
-    size = ids.count()
-    if size == 0:
-        return float("-inf")
-    m = graph.num_edges
-    l_c = (
-        graph.edges.join(ids.withColumnRenamed("id", "src"), "src")
-        .join(ids.withColumnRenamed("id", "dst"), "dst")
-        .count()
-    )
-    row = graph.degrees().join(ids, "id").agg(F.sum("degree").alias("d")).collect()[0]
-    d_c = int(row["d"] or 0)
-    return density_modularity(l_c, d_c, size, m)

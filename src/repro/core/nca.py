@@ -15,8 +15,8 @@ connected at every step, so that node is the argmax over the
 non-articulation nodes: the same choice, without the full articulation
 set.
 
-The incumbent is kept as a prefix of the removal order and rebuilt once
-at the end.
+``PeelState`` keeps the incumbent (Algorithm 1's best S) as a prefix of
+its removal log and rebuilds it once at the end.
 
 ``scorer="ratio"`` gives the NCA-DR variant ((a)+(d), Figure 14).
 ``time_budget`` (seconds) bounds the loop: on expiry the best incumbent
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def nca(
     if any(q not in comp for q in qs):
         return None
     dist = g.bfs_dist(qs)
-    state = PeelState(g, comp)
+    state = PeelState(g, comp, measure)
     # Dense positions over the component, sorted by id, so the key
     # (score, dist, id) becomes (score, dist·n + position).
     nodes = sorted(comp)
@@ -105,8 +105,6 @@ def nca(
     removable = np.ones(n, dtype=bool)
     removable[[pos[q] for q in qs]] = False
 
-    order: List[int] = []  # removal order; the incumbent is comp minus a prefix
-    best_len, best_score = 0, state.score(measure)
     t0 = time.monotonic()
     while True:
         if time_budget is not None and time.monotonic() - t0 > time_budget:
@@ -127,11 +125,7 @@ def nca(
             break  # every candidate left is an articulation point
         removable[u] = False
         k[[pos[w] for w in state.remove(nodes[u])]] -= 1
-        order.append(nodes[u])
-        s = state.score(measure)
-        if s >= best_score:
-            best_score, best_len = s, len(order)
-    return comp.difference(order[:best_len])
+    return state.best()
 
 
 def nca_dr(g: LocalGraph, queries: Iterable[int], **kw) -> Optional[Set[int]]:

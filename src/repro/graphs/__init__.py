@@ -1,5 +1,6 @@
-"""Graph substrate: distributed (Spark DataFrame) + sequential mirrors."""
-from .graph import Graph
-from .local import LocalGraph
+"""Graph substrate: distributed (Spark DataFrame) + sequential mirrors.
 
-__all__ = ["Graph", "LocalGraph"]
+Import the submodules directly (``repro.graphs.local`` for the in-memory
+graph, ``repro.graphs.graph`` for the Spark one), so that code using only
+the local graph does not load pyspark.
+"""

@@ -1,7 +1,7 @@
 """Test-local Spark tuning.
 
 The session fixture (root conftest) uses 64 shuffle partitions — right
-for SF~0.1 benchmarks, pure overhead for the <100-node graphs the
+for the larger benchmark graphs, pure overhead for the <100-node graphs the
 substrate tests use, where the iterative algorithms issue dozens of tiny
 Spark jobs. Whenever a test pulls in the ``spark`` fixture, drop to 8
 partitions (idempotent; the substrate code is partition-count agnostic).

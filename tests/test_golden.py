@@ -1,0 +1,85 @@
+"""Golden outputs: every FPA/NCA configuration returns the same sets.
+
+Each configuration runs on fixed query sets over the default LFR graph
+(``lfr(seed=0)``, |Q| = 1, 2 and 4), karate and a ring of cliques. Its
+answers are stored as the list of sizes plus a hash of the sorted sets,
+so any change to a returned community fails here. To regenerate after a
+deliberate change of results, run ``PYTHONPATH=src python -m
+tests.test_golden`` and paste its output over ``GOLDEN``.
+"""
+from __future__ import annotations
+
+import hashlib
+from functools import lru_cache
+from typing import Callable, Dict, List, Tuple
+
+import pytest
+
+from repro.core import fpa, nca, nca_dr
+from repro.evaluation.datasets import lfr
+from repro.evaluation.queries import query_sets
+from repro.gendata.classic import karate, ring_of_cliques
+
+
+def _configs() -> Dict[str, Callable]:
+    out: Dict[str, Callable] = {}
+    for scorer in ("ratio", "dmg"):
+        for measure in ("dm", "cm", "gmd"):
+            for prune in (False, True):
+                out[f"fpa-{scorer}-{measure}-{'prune' if prune else 'full'}"] = (
+                    lambda g, q, s=scorer, m=measure, p=prune: fpa(
+                        g, q, scorer=s, measure=m, prune=p))
+    out["nca"] = nca
+    out["nca-dr"] = nca_dr
+    return out
+
+
+CONFIGS = _configs()
+
+
+@lru_cache(maxsize=None)
+def _cases() -> List[Tuple[object, List[int]]]:
+    g, comms = lfr(seed=0)
+    cases = [(g, q) for size in (1, 2, 4)
+             for q in query_sets(g, comms, n_sets=2, q_size=size, seed=0)]
+    g, _ = karate()
+    cases += [(g, q) for q in ([0], [33], [0, 33])]
+    g, _ = ring_of_cliques(10, 6)
+    cases += [(g, q) for q in ([0], [0, 7])]
+    return cases
+
+
+def digest(algo: Callable) -> Tuple[Tuple[int, ...], str]:
+    """(sizes, hash of the sorted sets) of ``algo`` over the fixed cases."""
+    sets = [algo(g, q) for g, q in _cases()]
+    text = repr([sorted(s) for s in sets])
+    return tuple(len(s) for s in sets), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+GOLDEN: Dict[str, Tuple[Tuple[int, ...], str]] = {
+    "fpa-ratio-dm-full": ((111, 55, 102, 31, 13, 26, 6, 10, 15, 6, 12), "3a862a5d33457e25"),
+    "fpa-ratio-dm-prune": ((8, 11, 10, 31, 5, 26, 6, 10, 15, 6, 12), "fc3205ca76f1d8c2"),
+    "fpa-ratio-cm-full": ((566, 447, 242, 341, 359, 355, 15, 16, 21, 30, 30), "212fafbff185c0fc"),
+    "fpa-ratio-cm-prune": ((216, 136, 242, 341, 359, 355, 15, 16, 21, 30, 30), "9a84e4b20c9e3b78"),
+    "fpa-ratio-gmd-full": ((151, 55, 166, 31, 211, 26, 15, 12, 15, 6, 12), "3037e1444ec4892a"),
+    "fpa-ratio-gmd-prune": ((151, 55, 166, 31, 5, 26, 15, 12, 15, 6, 12), "a9a63628ea1fab18"),
+    "fpa-dmg-dm-full": ((90, 41, 100, 21, 13, 19, 5, 12, 14, 6, 12), "8b506acc99a6c3c5"),
+    "fpa-dmg-dm-prune": ((7, 6, 8, 21, 5, 19, 5, 12, 14, 6, 12), "a8ff99ff53f5352e"),
+    "fpa-dmg-cm-full": ((626, 526, 238, 372, 364, 383, 15, 16, 21, 30, 30), "a5e41afb3d005fbd"),
+    "fpa-dmg-cm-prune": ((217, 136, 238, 372, 364, 383, 15, 16, 21, 30, 30), "2de1d5c6d98a3766"),
+    "fpa-dmg-gmd-full": ((90, 41, 115, 21, 182, 185, 13, 12, 14, 6, 12), "875d7fa5eee7d479"),
+    "fpa-dmg-gmd-prune": ((90, 41, 115, 21, 5, 19, 13, 12, 14, 6, 12), "03f6791a913ad742"),
+    "nca": ((73, 27, 74, 38, 48, 35, 5, 14, 14, 6, 12), "c80da91d14fc5dbb"),
+    "nca-dr": ((59, 48, 47, 78, 59, 61, 7, 18, 16, 6, 12), "2ccfbbe872b0efa3"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_golden(name):
+    assert digest(CONFIGS[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name, algo in CONFIGS.items():
+        sizes, h = digest(algo)
+        print(f'    "{name}": ({sizes}, "{h}"),')

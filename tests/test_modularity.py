@@ -1,12 +1,15 @@
 """Density modularity and friends: the paper's worked examples as golden
-values, formula identities, Lemma 4/5 stability properties, and the
-Spark evaluation path vs the driver-side one."""
+values, formula identities and Lemma 4/5 stability properties."""
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.modularity import (
     classic_modularity,
     cm_of,
@@ -14,14 +17,12 @@ from repro.core.modularity import (
     density_ratio,
     dm_gain,
     dm_of,
-    dm_spark,
     generalized_modularity_density,
 )
 from repro.core.peel import PeelState
 from repro.gendata.classic import karate, ring_of_cliques
-from repro.graphs.graph import Graph
 
-from .util import edges_pdf, random_local_graph
+from .util import random_local_graph
 
 
 class TestPaperExamples:
@@ -159,16 +160,13 @@ class TestGraphLevel:
         d = sum(g.degree(v) for v in c)
         assert dm_of(g, c) == pytest.approx(density_modularity(l, d, len(c), g.m))
 
-    def test_dm_spark_matches_local(self, spark):
-        g, comms = karate()
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        import pandas as pd
 
-        members = spark.createDataFrame(pd.DataFrame({"id": sorted(comms[0])}))
-        assert dm_spark(G, members) == pytest.approx(dm_of(g, comms[0]))
-
-    def test_dm_spark_empty(self, spark):
-        g, _ = karate()
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        empty = spark.createDataFrame([], "id long")
-        assert dm_spark(G, empty) == float("-inf")
+def test_core_imports_without_pyspark():
+    """The peel algorithms and baselines load no Spark code."""
+    code = "import sys, repro.core, repro.baselines; print('pyspark' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

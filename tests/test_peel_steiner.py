@@ -1,8 +1,15 @@
 """PeelState incremental bookkeeping + the §5.6 Steiner connector."""
+import numpy as np
 import pytest
 
-from repro.core.modularity import density_modularity, dm_of
-from repro.core.peel import PeelState
+from repro.core.modularity import (
+    classic_modularity,
+    community_stats,
+    density_modularity,
+    dm_of,
+    generalized_modularity_density,
+)
+from repro.core.peel import MEASURES, PeelState
 from repro.core.steiner import steiner_connector
 from repro.graphs.local import LocalGraph
 
@@ -54,6 +61,53 @@ class TestPeelState:
         g = LocalGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         st = PeelState(g, {0, 1})
         assert st.l == 1 and st.d == 4 and st.k == {0: 1, 1: 1}
+
+
+def _fresh_score(g, nodes, measure):
+    l, d = community_stats(g, nodes)
+    if measure == "dm":
+        return density_modularity(l, d, len(nodes), g.m)
+    if measure == "cm":
+        return classic_modularity(l, d, g.m)
+    return generalized_modularity_density(l, d, len(nodes), g.m)
+
+
+class TestIncumbent:
+    """PeelState keeps Algorithm 1's best S as a prefix of its removals."""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_start_set_before_any_removal(self, measure):
+        g = random_local_graph(20, 0.2, 2)
+        comp = max(g.connected_components(), key=len)
+        st = PeelState(g, comp, measure)
+        assert st.best() == comp
+        assert st.best_score == _fresh_score(g, comp, measure)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("n,p,seed", GNP_CASES)
+    def test_matches_snapshot_rule(self, n, p, seed, measure):
+        g = random_local_graph(n, p, seed)
+        comp = max(g.connected_components(), key=len)
+        order = np.random.default_rng(seed).permutation(sorted(comp)).tolist()
+        st = PeelState(g, comp, measure)
+        best, best_score = set(comp), _fresh_score(g, comp, measure)
+        S = set(comp)
+        for v in order[:-1]:
+            st.remove(v)
+            S.discard(v)
+            s = _fresh_score(g, S, measure)
+            if s >= best_score:  # a tie keeps the later, smaller set
+                best, best_score = set(S), s
+            assert st.best() == best
+        assert st.best_score == best_score
+
+    def test_tie_keeps_later_set(self):
+        # edgeless: DM = 0 for every non-empty S, so each removal ties
+        g = LocalGraph.from_edges([], nodes=[0, 1, 2])
+        st = PeelState(g, {0, 1, 2})
+        st.remove(0)
+        st.remove(1)
+        assert st.best() == {2}
 
 
 class TestSteiner:
