@@ -1,15 +1,6 @@
 """Shared benchmark fixtures: graphs are built once per session."""
 import pytest
 
-
-@pytest.fixture(autouse=True)
-def _bench_shuffle(request):
-    # the default-LFR graph is ~7K edges; 16 shuffle partitions beat the
-    # session default of 64 for these micro-benchmarks
-    if "spark" in request.fixturenames:
-        request.getfixturevalue("spark").conf.set("spark.sql.shuffle.partitions", "16")
-    yield
-
 from repro.evaluation.datasets import lfr, overlapping, small_real
 from repro.evaluation.queries import query_sets
 

@@ -1,10 +1,11 @@
 """Shared plumbing for the experiment jobs.
 
-Every job is a spark-submit entrypoint reproducing one table/figure of
-the paper's §6 (DESIGN.md §4 maps them). Jobs print the result table to
-stdout and write a CSV under ``results/`` so EXPERIMENTS.md can quote
-them. ``get_spark`` builds the same session shape as conftest.py when
-run standalone (under pytest, pass the fixture session instead).
+Every job reproduces one table/figure of the paper's §6 (DESIGN.md §4
+maps them) and runs as plain ``python jobs/<name>.py``. Jobs print the
+result table to stdout and write a CSV under ``results/`` so
+EXPERIMENTS.md can quote them. Only ``t01`` starts Spark, to check
+|V|/|E| on the distributed graph; ``get_spark`` builds its session with
+the same shape as conftest.py.
 """
 from __future__ import annotations
 

@@ -15,7 +15,7 @@ from repro.evaluation.datasets import LFR_DEFAULTS, lfr
 from repro.evaluation.harness import run_algorithms, standard_algorithms, summarize
 from repro.evaluation.queries import query_sets
 
-from _common import emit, get_spark
+from _common import emit
 
 ROSTER = [
     "clique", "kc", "kt", "kecc", "CNM", "icwi2008", "huang2015",
@@ -33,7 +33,7 @@ SWEEPS = {
 SWEEP_SEEDS = {"mu": 101, "d_avg": 102, "d_max": 103}
 
 
-def run(spark=None, n_queries: int | None = None, nca_budget: float = 45.0) -> pd.DataFrame:
+def run(n_queries: int | None = None, nca_budget: float = 45.0) -> pd.DataFrame:
     n_queries = n_queries or int(os.environ.get("REPRO_QUERIES", "5"))
     frames = []
     for sweep, values in SWEEPS.items():

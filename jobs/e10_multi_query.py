@@ -10,13 +10,13 @@ from repro.evaluation.datasets import lfr
 from repro.evaluation.harness import run_algorithms, standard_algorithms, summarize
 from repro.evaluation.queries import query_sets
 
-from _common import emit, get_spark
+from _common import emit
 
 Q_SIZES = [1, 2, 4, 8, 16]
 ROSTER = ["kc", "kecc", "NCA", "FPA"]
 
 
-def run(spark=None, n_queries: int = 5, nca_budget: float = 45.0) -> pd.DataFrame:
+def run(n_queries: int = 5, nca_budget: float = 45.0) -> pd.DataFrame:
     g, comms = lfr(seed=42)
     algos = standard_algorithms(g, include=ROSTER, nca_budget=nca_budget)
     frames = []

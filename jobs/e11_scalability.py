@@ -19,14 +19,14 @@ from repro.evaluation.datasets import lfr
 from repro.evaluation.queries import query_sets
 from repro.graphs.localops import core_numbers
 
-from _common import Timer, emit, get_spark
+from _common import Timer, emit
 
 SIZES = [2000, 5000, 10000, 20000]
 NCA_BUDGET = 120.0
 NCA_MAX_N = 10000
 
 
-def run(spark=None, n_queries: int = 3) -> pd.DataFrame:
+def run(n_queries: int = 3) -> pd.DataFrame:
     rows = []
     for n in SIZES:
         g, comms = lfr(seed=7, n=n, d_avg=12, d_max=60, max_c=min(200, n // 5))

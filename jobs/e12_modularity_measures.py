@@ -10,12 +10,12 @@ from repro.evaluation.datasets import lfr
 from repro.evaluation.harness import run_algorithms, summarize
 from repro.evaluation.queries import query_sets
 
-from _common import emit, get_spark
+from _common import emit
 
 MEASURES = {"DM": "dm", "CM": "cm", "GMD": "gmd"}
 
 
-def run(spark=None, n_queries: int = 8) -> pd.DataFrame:
+def run(n_queries: int = 8) -> pd.DataFrame:
     g, comms = lfr(seed=12)
     queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=2)
     algos = {

@@ -8,10 +8,10 @@ from repro.evaluation.datasets import lfr
 from repro.evaluation.harness import run_algorithms, summarize
 from repro.evaluation.queries import query_sets
 
-from _common import emit, get_spark
+from _common import emit
 
 
-def run(spark=None, n_queries: int = 10) -> pd.DataFrame:
+def run(n_queries: int = 10) -> pd.DataFrame:
     g, comms = lfr(seed=13)
     queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=4)
     algos = {

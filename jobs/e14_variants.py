@@ -8,10 +8,10 @@ from repro.evaluation.datasets import lfr
 from repro.evaluation.harness import run_algorithms, summarize, variant_algorithms
 from repro.evaluation.queries import query_sets
 
-from _common import emit, get_spark
+from _common import emit
 
 
-def run(spark=None, n_queries: int = 5, nca_budget: float = 60.0) -> pd.DataFrame:
+def run(n_queries: int = 5, nca_budget: float = 60.0) -> pd.DataFrame:
     g, comms = lfr(seed=14)
     queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=5)
     algos = variant_algorithms(g, nca_budget=nca_budget)

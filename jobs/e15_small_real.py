@@ -11,10 +11,10 @@ from repro.evaluation.datasets import small_real
 from repro.evaluation.harness import run_algorithms, standard_algorithms, summarize
 from repro.evaluation.queries import query_sets
 
-from _common import emit, get_spark
+from _common import emit
 
 
-def run(spark=None, n_queries: int = 10) -> pd.DataFrame:
+def run(n_queries: int = 10) -> pd.DataFrame:
     frames = []
     for name, (g, comms) in small_real().items():
         queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=6)

@@ -12,12 +12,12 @@ from repro.evaluation.harness import run_algorithms, summarize
 from repro.evaluation.queries import query_sets
 from repro.graphs.localops import core_numbers, truss_numbers
 
-from _common import emit, get_spark
+from _common import emit
 
 K_VALUES = [3, 4, 5, 6]
 
 
-def run(spark=None, n_queries: int = 8) -> pd.DataFrame:
+def run(n_queries: int = 8) -> pd.DataFrame:
     roster = {
         name: gc for name, gc in overlapping().items()
         if name in ("DBLP-lite", "Youtube-lite")

@@ -11,7 +11,7 @@ from repro.core import fpa
 from repro.evaluation.datasets import overlapping
 from repro.graphs.localops import core_numbers, truss_numbers
 
-from _common import emit, get_spark
+from _common import emit
 
 
 def _rank(scores: dict, v: int) -> int:
@@ -19,7 +19,7 @@ def _rank(scores: dict, v: int) -> int:
     return order.index(v) + 1
 
 
-def run(spark=None) -> pd.DataFrame:
+def run() -> pd.DataFrame:
     g, _ = overlapping()["DBLP-lite"]
     q = max(g.degrees(), key=lambda v: g.degree(v))
     results = {

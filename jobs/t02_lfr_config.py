@@ -8,10 +8,10 @@ import pandas as pd
 
 from repro.evaluation.datasets import LFR_DEFAULTS, lfr
 
-from _common import emit, get_spark
+from _common import emit
 
 
-def run(spark=None) -> pd.DataFrame:
+def run() -> pd.DataFrame:
     g, comms = lfr(seed=0)
     realized_avg = round(2 * g.m / g.n, 1)
     comm_of = {v: i for i, c in enumerate(comms) for v in c}

@@ -21,12 +21,10 @@ def clique_cs(
     max_nodes: int = 3000,
     max_cliques: int = 200_000,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, comp = found
     if len(comp) > max_nodes:
         return None  # over budget (paper: no result within time limit)
     sub = g.subgraph(comp)
@@ -35,8 +33,7 @@ def clique_cs(
         cliques.append(c)
         if len(cliques) > max_cliques:
             return None
-    k_hi = max((len(c) for c in cliques if all(q in c for q in [qs[0]])), default=0)
-    k_hi = max(k_hi, max((len(c) for c in cliques), default=0))
+    k_hi = max((len(c) for c in cliques), default=0)
     for k in range(k_hi, 1, -1):
         ks = [c for c in cliques if len(c) >= k]
         seeds = [i for i, c in enumerate(ks) if any(q in c for q in qs)]

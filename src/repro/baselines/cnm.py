@@ -19,12 +19,10 @@ from ..graphs.local import LocalGraph
 def cnm(
     g: LocalGraph, queries: Iterable[int], max_nodes: int = 50_000
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, comp = found
     if len(comp) > max_nodes:
         return None
     sub = g.subgraph(comp)

@@ -14,13 +14,11 @@ from ..graphs.local import LocalGraph
 def kecc_cs(
     g: LocalGraph, queries: Iterable[int], k: int = 3, exact_limit: int = 400
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    # restrict to the query component first — k-ECCs never span components
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, comp = found
+    # k-ECCs never span components, so search the query component only
     for c in kecc(g.subgraph(comp), k, exact_limit=exact_limit):
         if all(q in c for q in qs):
             return c if len(c) > 1 else None

@@ -25,12 +25,10 @@ def _local_modularity(l_s: int, ext: int) -> float:
 def icwi2008(
     g: LocalGraph, queries: Iterable[int], max_rounds: int = 50
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, _ = found
     S: Set[int] = set(qs)
     # k_in[v] = edges from v into S, for all v in S or on the boundary
     k_in: Dict[int, int] = {}

@@ -23,12 +23,10 @@ def wu2015(
     eta: float = 0.5,
     max_nodes: int = 50_000,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, comp = found
     if len(comp) > max_nodes:
         return None
     dist = g.bfs_dist(qs)

@@ -70,12 +70,10 @@ def fpa(
 ) -> Optional[Set[int]]:
     """Run FPA; returns the community node set, or None when the query
     nodes are not in one connected component."""
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, comp = found
     seed = steiner_connector(g, qs)  # connected ⊇ Q (singleton {q} if |Q|=1)
     layers = g.bfs_layers(seed)  # the seed is inside comp, so are its layers
     state = PeelState(g, comp, measure)

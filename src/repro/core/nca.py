@@ -86,12 +86,10 @@ def nca(
     measure: str = "dm",
     time_budget: float | None = None,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    found = g.query_component(queries)
+    if found is None:
         return None
-    comp = g.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
+    qs, comp = found
     dist = g.bfs_dist(qs)
     state = PeelState(g, comp, measure)
     # Dense positions over the component, sorted by id, so the key

@@ -1,4 +1,4 @@
-"""Graph substrate: distributed (Spark DataFrame) + sequential mirrors.
+"""Graph substrate: the in-memory graph, its decompositions, and Spark passes.
 
 Import the submodules directly (``repro.graphs.local`` for the in-memory
 graph, ``repro.graphs.graph`` for the Spark one), so that code using only

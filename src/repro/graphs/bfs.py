@@ -4,8 +4,10 @@ Frontier-expansion with one join per BFS level; the distance table is
 localCheckpoint-ed every few rounds to truncate the growing lineage —
 the standard idiom for iterative DataFrame algorithms.
 
-Powers FPA's distance layers (§5.2.2/§5.7): ``dist(v) = min over q in Q``
-of the unweighted shortest-path distance (§5.6).
+Computes ``dist(v) = min over q in Q`` of the unweighted shortest-path
+distance (§5.6) on the Spark graph. The algorithms take their distance
+layers from ``LocalGraph.bfs_layers``/``bfs_dist`` instead; this op is
+checked against ``LocalGraph.bfs_dist``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .graph import Graph
 _CHECKPOINT_EVERY = 2
 
 
-def distances(graph: Graph, sources: Iterable[int], max_depth: int = 10**9) -> DataFrame:
+def distances(graph: Graph, sources: Iterable[int]) -> DataFrame:
     """Minimum BFS distance from any source; columns (id, dist).
 
     Unreachable nodes are absent (mirrors ``LocalGraph.bfs_dist``).
@@ -33,7 +35,7 @@ def distances(graph: Graph, sources: Iterable[int], max_depth: int = 10**9) -> D
     frontier = dist.select("id").cache()
     sym = graph.symmetric().cache()
     depth = 0
-    while depth < max_depth:
+    while True:
         depth += 1
         nxt = (
             sym.join(frontier.withColumnRenamed("id", "src"), "src")

@@ -3,8 +3,8 @@
 Each node starts labelled with its own id; every round each node takes the
 minimum label in its closed neighbourhood; stop when no label changes.
 Converges in O(diameter) rounds — small-world graphs (the paper's domain,
-§5.2.2) converge in a handful of joins. Lineage is truncated with
-localCheckpoint on the same cadence as BFS.
+§5.2.2) converge in a handful of joins. Every round's labels are
+localCheckpoint-ed, which truncates the lineage.
 """
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ from pyspark.sql import functions as F
 
 from .graph import Graph
 
-_CHECKPOINT_EVERY = 1
 
-
-def connected_components(graph: Graph, max_iter: int = 10**6) -> DataFrame:
+def connected_components(graph: Graph) -> DataFrame:
     """Component labels, columns (id, component); label = min node id."""
     labels = graph.nodes().withColumn("component", F.col("id")).cache()
     sym = graph.symmetric().cache()
-    for it in range(1, max_iter + 1):
+    while True:
         nbr_min = (
             sym.join(labels.withColumnRenamed("id", "dst"), "dst")
             .groupBy(F.col("src").alias("id"))
@@ -35,11 +33,7 @@ def connected_components(graph: Graph, max_iter: int = 10**6) -> DataFrame:
                 ).alias("component"),
             )
         )
-        new_labels = (
-            new_labels.localCheckpoint(eager=True)
-            if it % _CHECKPOINT_EVERY == 0
-            else new_labels.cache()
-        )
+        new_labels = new_labels.localCheckpoint(eager=True)
         changed = (
             new_labels.alias("n")
             .join(labels.alias("o"), "id")
@@ -50,10 +44,3 @@ def connected_components(graph: Graph, max_iter: int = 10**6) -> DataFrame:
         if changed:
             break
     return labels
-
-
-def component_of(graph: Graph, node: int) -> DataFrame:
-    """Node ids (column ``id``) of the component containing ``node``."""
-    labels = connected_components(graph)
-    lbl = labels.where(F.col("id") == int(node)).select("component")
-    return labels.join(lbl, "component").select("id")

@@ -1,15 +1,15 @@
 """Distributed undirected graph over a canonical Spark edges DataFrame.
 
 The graph is stored as a deduplicated canonical edge table with columns
-``src < dst`` (long). All global whole-graph passes (degrees, BFS,
-components, core/truss decomposition, triangle counting) are pure
-DataFrame programs over this table; the sequential peel kernel
-(`repro.graphs.local.LocalGraph`) is produced by :meth:`Graph.to_local`
-on the (pruned) candidate subgraph only.
+``src < dst`` (long). The whole-graph passes over this table (degrees
+here; BFS, connected components, k-core and edge support in their own
+modules) are pure DataFrame programs. :meth:`Graph.to_local` collects the
+table into the driver-side :class:`repro.graphs.local.LocalGraph` that the
+algorithms run on.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -51,15 +51,6 @@ class Graph:
     @classmethod
     def from_pandas(cls, spark: SparkSession, pdf: pd.DataFrame) -> "Graph":
         return cls(spark, spark.createDataFrame(pdf))
-
-    @classmethod
-    def from_edge_arrays(
-        cls, spark: SparkSession, src: np.ndarray, dst: np.ndarray
-    ) -> "Graph":
-        return cls.from_pandas(
-            spark, pd.DataFrame({"src": np.asarray(src, dtype=np.int64),
-                                 "dst": np.asarray(dst, dtype=np.int64)})
-        )
 
     @classmethod
     def from_local(cls, spark: SparkSession, g: LocalGraph) -> "Graph":
@@ -104,21 +95,6 @@ class Graph:
             self._num_nodes = self.nodes().count()
         return self._num_nodes
 
-    # ------------------------------------------------------------ subgraphs
-    def induced_subgraph(self, node_ids: DataFrame) -> "Graph":
-        """Induced subgraph on ``node_ids`` (column ``id``)."""
-        ids = node_ids.select(F.col(node_ids.columns[0]).alias("id")).distinct()
-        e = (
-            self.edges.join(ids.withColumnRenamed("id", "src"), "src")
-            .join(ids.withColumnRenamed("id", "dst"), "dst")
-            .select("src", "dst")
-        )
-        return Graph(self.spark, e.cache(), _canonical=True)
-
-    def induced_subgraph_ids(self, ids: Iterable[int]) -> "Graph":
-        pdf = pd.DataFrame({"id": pd.Series(list(ids), dtype="int64")})
-        return self.induced_subgraph(self.spark.createDataFrame(pdf))
-
     # ------------------------------------------------------------- exchange
     def to_local(self) -> LocalGraph:
         """Collect this (sub)graph's edges to a driver-side LocalGraph."""
@@ -126,6 +102,3 @@ class Graph:
         return LocalGraph.from_arrays(
             pdf["src"].to_numpy(dtype=np.int64), pdf["dst"].to_numpy(dtype=np.int64)
         )
-
-    def edges_pandas(self) -> pd.DataFrame:
-        return self.edges.toPandas()

@@ -1,26 +1,20 @@
-"""Distributed k-core: iterative peeling + full core decomposition.
+"""Distributed k-core by iterative peeling.
 
 ``k_core`` repeatedly deletes nodes of degree < k until fixpoint — the
 classic distributed peel, one degree-aggregation + one anti-join per
-round. ``core_numbers`` runs the peel for increasing k and records the
-last k at which each node survived.
+round, with each round's edge table localCheckpoint-ed.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .graph import Graph
-
-_CHECKPOINT_EVERY = 1
 
 
 def k_core(graph: Graph, k: int) -> Graph:
     """Maximal subgraph with minimum degree >= k (possibly empty)."""
     g = graph
-    it = 0
     while True:
-        it += 1
         weak = g.degrees().where(F.col("degree") < k).select("id")
         if weak.isEmpty():
             return g
@@ -30,34 +24,4 @@ def k_core(graph: Graph, k: int) -> Graph:
             .join(keep.withColumnRenamed("id", "dst"), "dst")
             .select("src", "dst")
         )
-        e = e.localCheckpoint(eager=True) if it % _CHECKPOINT_EVERY == 0 else e.cache()
-        g = Graph(graph.spark, e, _canonical=True)
-
-
-def core_numbers(graph: Graph, max_k: int | None = None) -> DataFrame:
-    """Core number per node, columns (id, core).
-
-    Isolated-in-core nodes: a node's core number is the largest k such
-    that it belongs to the (non-empty) k-core.
-    """
-    spark = graph.spark
-    out = graph.nodes().withColumn("core", F.lit(0)).cache()
-    g = graph
-    k = 1
-    while True:
-        g = k_core(g, k)
-        surv = g.nodes()
-        if surv.isEmpty():
-            break
-        out = (
-            out.join(surv.withColumn("_s", F.lit(1)), "id", "left")
-            .select(
-                "id",
-                F.when(F.col("_s").isNotNull(), F.lit(k)).otherwise(F.col("core")).alias("core"),
-            )
-            .localCheckpoint(eager=True)
-        )
-        if max_k is not None and k >= max_k:
-            break
-        k += 1
-    return out
+        g = Graph(graph.spark, e.localCheckpoint(eager=True), _canonical=True)

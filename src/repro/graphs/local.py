@@ -1,9 +1,10 @@
 """Sequential graph kernel used by the peeling algorithms.
 
 The DMCS algorithms (NCA/FPA) remove one node at a time — an inherently
-sequential loop. The distributed substrate (``repro.graphs``) computes the
-global phase (components, BFS layers, degrees, core/truss indices) on
-Spark; the pruned candidate subgraph is then collected here and peeled.
+sequential loop. Every algorithm and baseline runs on this graph, global
+phase (components, BFS layers, degrees) included; ``repro.graphs.localops``
+builds the core/truss indices on it. The Spark ``Graph`` can be collected
+into one with :meth:`repro.graphs.graph.Graph.to_local`.
 
 ``LocalGraph`` is an undirected simple graph over integer node ids with a
 dynamic adjacency (dict of sets). It hosts the classic sequential
@@ -20,7 +21,9 @@ primitives the paper relies on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -171,6 +174,22 @@ class LocalGraph:
 
     def connected_component(self, seed: int) -> Set[int]:
         return set(self.bfs_dist([seed]))
+
+    def query_component(
+        self, queries: Iterable[int]
+    ) -> Optional[Tuple[List[int], Set[int]]]:
+        """Sorted distinct query nodes and the component holding them all.
+
+        None when Q is empty, names a node not in the graph, or spans more
+        than one component: no connected community contains such a Q.
+        """
+        qs = sorted(set(int(q) for q in queries))
+        if not qs or any(q not in self.adj for q in qs):
+            return None
+        comp = self.connected_component(qs[0])
+        if any(q not in comp for q in qs):
+            return None
+        return qs, comp
 
     def connected_components(self) -> List[Set[int]]:
         seen: Set[int] = set()

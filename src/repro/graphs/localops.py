@@ -1,10 +1,10 @@
-"""Driver-side mirrors of the distributed decompositions.
+"""Driver-side core, truss and triangle decompositions.
 
-Every Spark op in this package has a sequential mirror here; tests assert
-they agree. The experiment harness builds its per-dataset index (core /
-truss numbers, components) with these on the collected candidate graph —
-per-query search is then pure driver work, while jobs exercise the
-distributed versions on the largest graphs.
+The experiment harness, the jobs and the baselines build their
+per-dataset index (core / truss numbers) with these on the local graph,
+so per-query search is pure driver work. ``k_core`` and ``edge_support``
+are also the references the Spark ops in ``kcore`` and ``triangles`` are
+checked against.
 """
 from __future__ import annotations
 
@@ -51,10 +51,6 @@ def edge_support(g: LocalGraph) -> Dict[Tuple[int, int], int]:
     return {
         (u, v): len(g.adj[u] & g.adj[v]) for u, v in g.edges()
     }
-
-
-def triangle_total(g: LocalGraph) -> int:
-    return sum(edge_support(g).values()) // 3
 
 
 def truss_numbers(g: LocalGraph) -> Dict[Tuple[int, int], int]:

@@ -1,7 +1,8 @@
 """Distributed triangle counting / edge support.
 
 Edge support (the number of triangles an edge participates in) is the
-primitive behind k-truss (§2.1). Computed with the standard two-join
+primitive behind k-truss (§2.1); the truss decomposition itself runs on
+the driver (``repro.graphs.localops``). Computed with the standard two-join
 wedge-closure on the canonical (src < dst) edge table: for each wedge
 a<b, a<c (b<c) check whether (b, c) is an edge.
 """
@@ -47,9 +48,3 @@ def edge_support(graph: Graph) -> DataFrame:
         .select("src", "dst", F.coalesce("support", F.lit(0)).alias("support"))
     )
 
-
-def triangle_total(graph: Graph) -> int:
-    """Total number of triangles in the graph."""
-    row = edge_support(graph).agg(F.sum("support").alias("s")).collect()[0]
-    s = row["s"] or 0
-    return int(s) // 3

@@ -95,6 +95,30 @@ class TestHarness:
         assert len(ok) >= 11  # kt-like methods may return none
 
 
+def _karate_plus_k4():
+    """Karate (nodes 0-33) and a disjoint K4 on nodes 100-103."""
+    g, _ = karate()
+    for u in range(100, 104):
+        for v in range(u + 1, 104):
+            g.add_edge(u, v)
+    return g
+
+
+_TWO_COMPONENTS = _karate_plus_k4()
+# NCA and FPA are in both rosters with the same settings
+_ROSTER = {**standard_algorithms(_TWO_COMPONENTS), **variant_algorithms(_TWO_COMPONENTS)}
+
+
+@pytest.mark.parametrize("name", sorted(_ROSTER))
+@pytest.mark.parametrize(
+    "q", [[], [999], [0, 100]], ids=["empty", "unknown", "split"]
+)
+def test_invalid_query_returns_none(name, q):
+    """No connected community contains an empty Q, a node outside the
+    graph, or a Q spread over two components."""
+    assert _ROSTER[name](_TWO_COMPONENTS, q) is None
+
+
 class TestDatasets:
     def test_small_real_roster(self):
         roster = small_real()

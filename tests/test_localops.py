@@ -53,6 +53,26 @@ class TestTrussNumbers:
         g = random_local_graph(6, 1.1, 0)  # K6: every edge in 4 triangles
         assert set(localops.truss_numbers(g).values()) == {6}
 
+    @pytest.mark.parametrize(
+        "case", ["karate"] + GNP_CASES,
+        ids=lambda c: "-".join(map(str, c)) if isinstance(c, tuple) else c,
+    )
+    def test_node_truss_numbers_vs_networkx(self, case):
+        """Each node's largest k over the k-trusses its edges belong to;
+        2 for a node with no edges."""
+        g = karate()[0] if case == "karate" else random_local_graph(*case)
+        G = to_nx(g)
+        want = {v: 2 for v in G}
+        k = 3
+        while True:
+            sub = nx.k_truss(G, k)
+            if not sub.number_of_edges():
+                break
+            for v in sub:
+                want[v] = k
+            k += 1
+        assert localops.node_truss_numbers(g) == want
+
     def test_ring_of_cliques_truss(self):
         g, _ = ring_of_cliques(4, 5)
         t = localops.truss_numbers(g)

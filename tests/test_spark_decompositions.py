@@ -1,12 +1,12 @@
-"""Distributed k-core / triangles / k-truss vs local mirrors, networkx,
-and DuckDB SQL for triangle support."""
+"""Distributed k-core and triangle support vs the local decompositions,
+networkx, and DuckDB SQL for triangle support."""
 import networkx as nx
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.gendata.classic import karate
-from repro.graphs import kcore, ktruss, triangles
+from repro.graphs import kcore, triangles
 from repro.graphs import localops
 from repro.graphs.graph import Graph
 from repro.oracle import assert_equivalent
@@ -31,15 +31,6 @@ class TestKCore:
         ours = sorted(r["id"] for r in kcore.k_core(G, k).nodes().collect())
         theirs = sorted(nx.k_core(to_nx(g), k).nodes())
         assert ours == theirs
-
-    @pytest.mark.parametrize("n,p,seed", GNP_CASES[:2])
-    def test_core_numbers_vs_networkx(self, spark, n, p, seed):
-        g = random_local_graph(n, p, seed)
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        got = {r["id"]: r["core"] for r in kcore.core_numbers(G).collect()}
-        want = nx.core_number(to_nx(g))
-        want = {v: c for v, c in want.items() if g.adj[v]}  # isolated absent
-        assert got == want
 
     def test_min_degree_property(self, spark):
         g = random_local_graph(30, 0.2, 12)
@@ -72,45 +63,3 @@ class TestTriangles:
             for r in triangles.edge_support(G).collect()
         }
         assert got == localops.edge_support(g)
-
-    def test_total_vs_networkx_karate(self, spark):
-        g, _ = karate()
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        want = sum(nx.triangles(to_nx(g)).values()) // 3
-        assert triangles.triangle_total(G) == want
-        assert localops.triangle_total(g) == want
-
-
-class TestKTruss:
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_vs_networkx_karate(self, spark, k):
-        g, _ = karate()
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        ours = sorted(map(tuple, ktruss.k_truss(G, k).edges.collect()))
-        theirs = sorted(
-            (min(u, v), max(u, v)) for u, v in nx.k_truss(to_nx(g), k).edges()
-        )
-        assert ours == theirs
-
-    @pytest.mark.parametrize("n,p,seed", GNP_CASES[:2])
-    def test_truss_numbers_vs_local(self, spark, n, p, seed):
-        g = random_local_graph(n, p, seed)
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        got = {(r["src"], r["dst"]): r["truss"] for r in ktruss.truss_numbers(G).collect()}
-        assert got == localops.truss_numbers(g)
-
-    def test_support_property(self, spark):
-        g = random_local_graph(25, 0.3, 14)
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        sub = ktruss.k_truss(G, 4)
-        local = sub.to_local()
-        for u, v in local.edges():
-            assert len(local.adj[u] & local.adj[v]) >= 2
-
-    def test_node_truss_numbers(self, spark):
-        g, _ = karate()
-        G = Graph.from_pandas(spark, edges_pdf(g))
-        got = {r["id"]: r["truss"] for r in ktruss.node_truss_numbers(G).collect()}
-        want = localops.node_truss_numbers(g)
-        want = {v: t for v, t in want.items() if g.adj[v]}
-        assert got == want

@@ -1,4 +1,4 @@
-"""Distributed Graph basics: canonicalization, degrees, subgraphs —
+"""Distributed Graph basics: canonicalization, degrees, local round trip —
 degrees and node sets are oracle-checked against DuckDB SQL."""
 import pandas as pd
 import pytest
@@ -67,15 +67,6 @@ class TestDegreesOracle:
 
 
 class TestSubgraphAndRoundtrip:
-    def test_induced_subgraph(self, spark, small_graph):
-        ids = spark.createDataFrame(pd.DataFrame({"id": [1, 2, 3]}))
-        sub = small_graph.induced_subgraph(ids)
-        assert sorted(map(tuple, sub.edges.collect())) == [(1, 2), (2, 3)]
-
-    def test_induced_subgraph_ids(self, small_graph):
-        sub = small_graph.induced_subgraph_ids([2, 3, 4])
-        assert sub.num_edges == 2
-
     @pytest.mark.parametrize("n,p,seed", GNP_CASES[:3])
     def test_to_local_roundtrip(self, spark, n, p, seed):
         g = random_local_graph(n, p, seed)

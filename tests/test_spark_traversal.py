@@ -63,12 +63,6 @@ class TestBFS:
         got = {r["id"]: r["dist"] for r in bfs.distances(G, [0, 5, 9]).collect()}
         assert got == g.bfs_dist([0, 5, 9])
 
-    def test_max_depth(self, spark):
-        pdf = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
-        G = Graph.from_pandas(spark, pdf)
-        got = {r["id"]: r["dist"] for r in bfs.distances(G, [0], max_depth=1).collect()}
-        assert got == {0: 0, 1: 1}
-
     def test_empty_sources_raises(self, spark):
         G = Graph.from_pandas(spark, pd.DataFrame({"src": [0], "dst": [1]}))
         with pytest.raises(ValueError):
@@ -97,12 +91,6 @@ class TestConnectedComponents:
         assert_equivalent(
             components.connected_components(G), CC_SQL, edges=edges_pdf(g)
         )
-
-    def test_component_of(self, spark):
-        pdf = pd.DataFrame({"src": [0, 1, 5], "dst": [1, 2, 6]})
-        G = Graph.from_pandas(spark, pdf)
-        got = sorted(r["id"] for r in components.component_of(G, 1).collect())
-        assert got == [0, 1, 2]
 
     def test_two_components_labels(self, spark):
         pdf = pd.DataFrame({"src": [0, 5], "dst": [1, 6]})
