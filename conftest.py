@@ -58,16 +58,16 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
+    The substrate tests run on graphs of under 100 nodes, where the
+    iterative ops issue dozens of tiny Spark jobs, so 8 shuffle partitions
+    (the ops are partition-count agnostic) keep per-job overhead low.
     Broadcast joins are disabled so the graph ops' edge-table joins
     exercise the shuffle path even on small graphs; an op that wants a
     broadcast join sets the threshold back for that query.
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", "8")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -5,14 +5,12 @@ maps them) and runs as plain ``python jobs/<name>.py``. Jobs print the
 result table to stdout and write a CSV under ``results/`` so
 EXPERIMENTS.md can quote them. Only ``t01`` starts Spark, to check
 |V|/|E| on the distributed graph; ``get_spark`` builds its session with
-the same shape as conftest.py.
+the Arrow and broadcast-join settings of conftest.py.
 """
 from __future__ import annotations
 
 import os
 import pathlib
-import sys
-import time
 
 import pandas as pd
 
@@ -43,13 +41,3 @@ def emit(name: str, df: pd.DataFrame) -> pd.DataFrame:
     print(df.to_string(index=False))
     print(f"[saved {out}]")
     return df
-
-
-class Timer:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.monotonic() - self.t0
-        return False

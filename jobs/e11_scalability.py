@@ -9,17 +9,16 @@ where it finishes). The claim under test is relative: NCA slowest,
 kc/highcore fastest, FPA in between with a near-linear slope. NCA runs
 under a per-query time budget.
 """
-import time
-
 import pandas as pd
 
 from repro.baselines import highcore, kc
 from repro.core import fpa, nca
 from repro.evaluation.datasets import lfr
+from repro.evaluation.harness import run_algorithms
 from repro.evaluation.queries import query_sets
 from repro.graphs.localops import core_numbers
 
-from _common import Timer, emit
+from _common import emit
 
 SIZES = [2000, 5000, 10000, 20000]
 NCA_BUDGET = 120.0
@@ -35,29 +34,25 @@ def run(n_queries: int = 3) -> pd.DataFrame:
         algos = {
             "kc": lambda gg, q: kc(gg, q, k=3, cores=cores),
             "highcore": lambda gg, q: highcore(gg, q, cores=cores),
-            "FPA": lambda gg, q: fpa(gg, q),
+            "FPA": fpa,
             "NCA": lambda gg, q: (
                 nca(gg, q, time_budget=NCA_BUDGET) if n <= NCA_MAX_N else None
             ),
         }
-        for name, fn in algos.items():
-            times = []
-            for q in queries:
-                with Timer() as t:
-                    res = fn(g, q)
-                if res is not None:
-                    times.append(t.seconds)
+        df = run_algorithms(g, comms, algos, queries)
+        for name in algos:
+            ok = df[(df["algo"] == name) & (df["status"] == "ok")]
             rows.append(
                 dict(
                     n=n,
                     E=g.m,
                     algo=name,
-                    median_seconds=round(pd.Series(times).median(), 4) if times else None,
-                    runs=len(times),
+                    median_seconds=round(ok["seconds"].median(), 4) if len(ok) else None,
+                    runs=len(ok),
                     nca_capped=(name == "NCA" and (n > NCA_MAX_N)),
                 )
             )
-            print(f"[e11] n={n} {name} done")
+        print(f"[e11] n={n} done")
     return emit("e11_scalability", pd.DataFrame(rows))
 
 

@@ -22,7 +22,6 @@ def run(n_queries: int = 10) -> pd.DataFrame:
             g,
             nca_budget=120.0,
             gn_max_nodes=400,       # GN times out on Polblogs (paper §6.3)
-            clique_max_nodes=3000,
         )
         df = run_algorithms(g, comms, algos, queries, dataset=name)
         frames.append(summarize(df))

@@ -19,17 +19,14 @@ def kc(
     k: int = 3,
     cores: Dict[int, int] | None = None,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    qs = g.query_nodes(queries)
+    if qs is None:
         return None
     cores = cores if cores is not None else core_numbers(g)
     if any(cores.get(q, 0) < k for q in qs):
         return None
-    sub = g.subgraph([v for v, c in cores.items() if c >= k])
-    comp = sub.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
-    return comp
+    found = g.subgraph([v for v, c in cores.items() if c >= k]).query_component(qs)
+    return None if found is None else found[1]
 
 
 def highcore(
@@ -37,8 +34,8 @@ def highcore(
     queries: Iterable[int],
     cores: Dict[int, int] | None = None,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    qs = g.query_nodes(queries)
+    if qs is None:
         return None
     cores = cores if cores is not None else core_numbers(g)
     k_hi = min(cores[q] for q in qs)
@@ -47,5 +44,5 @@ def highcore(
         if res is not None:
             return res
     # k=0: plain connected component
-    comp = g.connected_component(qs[0])
-    return comp if all(q in comp for q in qs) else None
+    found = g.query_component(qs)
+    return None if found is None else found[1]

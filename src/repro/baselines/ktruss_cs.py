@@ -30,17 +30,12 @@ def kt(
     k: int = 4,
     truss: Dict[Tuple[int, int], int] | None = None,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    qs = g.query_nodes(queries)
+    if qs is None:
         return None
     truss = truss if truss is not None else truss_numbers(g)
-    sub = _truss_subgraph(truss, k)
-    if any(q not in sub for q in qs):
-        return None
-    comp = sub.connected_component(qs[0])
-    if any(q not in comp for q in qs):
-        return None
-    return comp
+    found = _truss_subgraph(truss, k).query_component(qs)
+    return None if found is None else found[1]
 
 
 def hightruss(
@@ -48,8 +43,8 @@ def hightruss(
     queries: Iterable[int],
     truss: Dict[Tuple[int, int], int] | None = None,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    qs = g.query_nodes(queries)
+    if qs is None:
         return None
     truss = truss if truss is not None else truss_numbers(g)
     k_hi = max((t for t in truss.values()), default=2)
@@ -57,8 +52,8 @@ def hightruss(
         res = kt(g, qs, k=k, truss=truss)
         if res is not None:
             return res
-    comp = g.connected_component(qs[0])
-    return comp if all(q in comp for q in qs) else None
+    found = g.query_component(qs)
+    return None if found is None else found[1]
 
 
 def _enforce_truss(sub: LocalGraph, k: int) -> None:
@@ -78,8 +73,8 @@ def huang2015(
     queries: Iterable[int],
     truss: Dict[Tuple[int, int], int] | None = None,
 ) -> Optional[Set[int]]:
-    qs = sorted(set(int(q) for q in queries))
-    if not qs or any(q not in g for q in qs):
+    qs = g.query_nodes(queries)
+    if qs is None:
         return None
     truss = truss if truss is not None else truss_numbers(g)
     k_hi = max((t for t in truss.values()), default=2)
@@ -91,10 +86,10 @@ def huang2015(
             k_star = k
             break
     if base is None:
-        comp = g.connected_component(qs[0])
-        if any(q not in comp for q in qs):
+        found = g.query_component(qs)
+        if found is None:
             return None
-        base = comp
+        base = found[1]
     sub = g.subgraph(base)
     qset = set(qs)
     best = set(sub.adj)

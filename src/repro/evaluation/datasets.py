@@ -1,7 +1,7 @@
-"""Dataset registry used by jobs, tests, and benchmarks.
+"""Dataset registry used by jobs, tests and perfbench.
 
-Every entry returns ``(LocalGraph, communities, meta)``; Spark jobs lift
-the edge list into the distributed ``Graph`` via ``Graph.from_local``.
+Every entry returns ``(LocalGraph, communities)``; ``Graph.from_local``
+lifts the edge list into the distributed Spark ``Graph``.
 Real-world graphs unavailable offline are replaced by calibrated analogs
 (DESIGN.md §5); LFR parameters are the paper's Table 2 scaled 1/5.
 """

@@ -38,20 +38,17 @@ def standard_algorithms(
     g: LocalGraph,
     include: Sequence[str] | None = None,
     *,
-    k_core_k: int = 3,
-    k_truss_k: int = 4,
-    kecc_k: int = 3,
     nca_budget: float | None = 120.0,
     gn_max_nodes: int = 400,
-    clique_max_nodes: int = 3000,
-    cnm_max_nodes: int = 50_000,
-    wu_max_nodes: int = 50_000,
 ) -> Dict[str, AlgoFn]:
     """The paper's §6.1 algorithm roster as name → fn(graph, Q) closures.
 
-    Core/truss indices are computed once here and shared across queries
-    (the per-dataset index of DESIGN.md §2). ``kt`` and ``hightruss``
-    accept only single-query sets, as in the paper (Figure 10 note).
+    Each baseline runs with its own defaults (k = 3 for kc and kecc,
+    k = 4 for kt); only NCA's time budget and GN's node budget vary by
+    experiment. Core/truss indices are computed once here and shared
+    across queries (the per-dataset index of DESIGN.md §2). ``kt`` and
+    ``hightruss`` accept only single-query sets, as in the paper
+    (Figure 10 note).
     """
     cores = core_numbers(g)
     truss = truss_numbers(g)
@@ -63,32 +60,32 @@ def standard_algorithms(
         return wrapped
 
     algos: Dict[str, AlgoFn] = {
-        "clique": lambda gg, q: clique_cs(gg, q, max_nodes=clique_max_nodes),
-        "kc": lambda gg, q: kc(gg, q, k=k_core_k, cores=cores),
-        "kt": _single(lambda gg, q: kt(gg, q, k=k_truss_k, truss=truss)),
-        "kecc": lambda gg, q: kecc_cs(gg, q, k=kecc_k),
-        "CNM": lambda gg, q: cnm(gg, q, max_nodes=cnm_max_nodes),
+        "clique": clique_cs,
+        "kc": lambda gg, q: kc(gg, q, cores=cores),
+        "kt": _single(lambda gg, q: kt(gg, q, truss=truss)),
+        "kecc": kecc_cs,
+        "CNM": cnm,
         "GN": lambda gg, q: gn(gg, q, max_nodes=gn_max_nodes),
-        "icwi2008": lambda gg, q: icwi2008(gg, q),
+        "icwi2008": icwi2008,
         "huang2015": lambda gg, q: huang2015(gg, q, truss=truss),
-        "wu2015": lambda gg, q: wu2015(gg, q, max_nodes=wu_max_nodes),
+        "wu2015": wu2015,
         "highcore": lambda gg, q: highcore(gg, q, cores=cores),
         "hightruss": _single(lambda gg, q: hightruss(gg, q, truss=truss)),
         "NCA": lambda gg, q: nca(gg, q, time_budget=nca_budget),
-        "FPA": lambda gg, q: fpa(gg, q),
+        "FPA": fpa,
     }
     if include is not None:
         algos = {k2: v for k2, v in algos.items() if k2 in include}
     return algos
 
 
-def variant_algorithms(g: LocalGraph, nca_budget: float | None = 120.0) -> Dict[str, AlgoFn]:
+def variant_algorithms(nca_budget: float | None = 120.0) -> Dict[str, AlgoFn]:
     """Figure 14's four (removable, scorer) combinations."""
     return {
         "NCA": lambda gg, q: nca(gg, q, time_budget=nca_budget),
         "NCA-DR": lambda gg, q: nca_dr(gg, q, time_budget=nca_budget),
         "FPA-DMG": lambda gg, q: fpa(gg, q, scorer="dmg"),
-        "FPA": lambda gg, q: fpa(gg, q),
+        "FPA": fpa,
     }
 
 

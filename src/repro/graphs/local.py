@@ -115,9 +115,6 @@ class LocalGraph:
     def degrees(self) -> Dict[int, int]:
         return {v: len(nbrs) for v, nbrs in self.adj.items()}
 
-    def neighbors(self, v: int) -> Set[int]:
-        return self.adj[v]
-
     def subgraph(self, nodes: Iterable[int]) -> "LocalGraph":
         keep = set(nodes)
         g = LocalGraph()
@@ -175,16 +172,24 @@ class LocalGraph:
     def connected_component(self, seed: int) -> Set[int]:
         return set(self.bfs_dist([seed]))
 
+    def query_nodes(self, queries: Iterable[int]) -> Optional[List[int]]:
+        """Sorted distinct query nodes; None when Q is empty or names a
+        node not in the graph."""
+        qs = sorted(set(int(q) for q in queries))
+        if not qs or any(q not in self.adj for q in qs):
+            return None
+        return qs
+
     def query_component(
         self, queries: Iterable[int]
     ) -> Optional[Tuple[List[int], Set[int]]]:
         """Sorted distinct query nodes and the component holding them all.
 
-        None when Q is empty, names a node not in the graph, or spans more
-        than one component: no connected community contains such a Q.
+        None when :meth:`query_nodes` rejects Q or Q spans more than one
+        component: no connected community contains such a Q.
         """
-        qs = sorted(set(int(q) for q in queries))
-        if not qs or any(q not in self.adj for q in qs):
+        qs = self.query_nodes(queries)
+        if qs is None:
             return None
         comp = self.connected_component(qs[0])
         if any(q not in comp for q in qs):
@@ -205,14 +210,6 @@ class LocalGraph:
         if self.n == 0:
             return True
         return len(self.connected_component(next(iter(self.adj)))) == self.n
-
-    def eccentricity(self, v: int) -> int:
-        d = self.bfs_dist([v])
-        return max(d.values()) if d else 0
-
-    def diameter(self) -> int:
-        """Exact diameter by all-pairs BFS — small graphs only."""
-        return max((self.eccentricity(v) for v in self.adj), default=0)
 
     # ----------------------------------------------- articulation / bridges
     def articulation_points(self) -> Set[int]:

@@ -66,7 +66,7 @@ class TestHarness:
 
     def test_variant_roster(self, kg):
         g, comms = kg
-        algos = variant_algorithms(g)
+        algos = variant_algorithms()
         assert set(algos) == {"NCA", "NCA-DR", "FPA-DMG", "FPA"}
         df = run_algorithms(g, comms, algos, [[0]], dataset="karate")
         assert (df["status"] == "ok").all()
@@ -106,7 +106,7 @@ def _karate_plus_k4():
 
 _TWO_COMPONENTS = _karate_plus_k4()
 # NCA and FPA are in both rosters with the same settings
-_ROSTER = {**standard_algorithms(_TWO_COMPONENTS), **variant_algorithms(_TWO_COMPONENTS)}
+_ROSTER = {**standard_algorithms(_TWO_COMPONENTS), **variant_algorithms()}
 
 
 @pytest.mark.parametrize("name", sorted(_ROSTER))

@@ -2,6 +2,9 @@
 import pytest
 
 from repro.core import dm_of, fpa
+from repro.evaluation.datasets import lfr, overlapping
+from repro.evaluation.metrics import score_against_best_truth
+from repro.evaluation.queries import query_sets
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
 
@@ -122,6 +125,36 @@ class TestMultiQuery:
         g, comms = lfr_small
         q = next(iter(comms[2]))
         assert fpa(g, [q]) == fpa(g, [q])
+
+
+def _figure_cases():
+    """(name, graph, communities, Q) for the query sets the §6 figures
+    run FPA on: |Q| = 1, 4 and 16 on the default LFR graph (Figures 8-10),
+    the mu = 0.2 LFR graph (Figure 8), the 2K and 5K graphs of the
+    scalability sweep (Figure 11) and DBLP-lite (Figure 17)."""
+    g, comms = lfr(seed=0)
+    cases = [(f"lfr-q{s}", g, comms, query_sets(g, comms, n_sets=1, q_size=s, seed=s)[0])
+             for s in (1, 4, 16)]
+    g, comms = lfr(seed=100, mu=0.2)
+    cases.append(("lfr-mu0.2", g, comms, query_sets(g, comms, n_sets=1, seed=1)[0]))
+    for n in (2000, 5000):
+        g, comms = lfr(seed=7, n=n, d_avg=12, d_max=60, max_c=200)
+        cases.append((f"lfr-n{n}", g, comms, query_sets(g, comms, n_sets=1, seed=3)[0]))
+    g, comms = overlapping()["DBLP-lite"]
+    cases.append(("dblp-lite", g, comms, query_sets(g, comms, n_sets=1, seed=7)[0]))
+    return cases
+
+
+FIGURE_CASES = _figure_cases()
+
+
+@pytest.mark.parametrize("case", FIGURE_CASES, ids=[c[0] for c in FIGURE_CASES])
+def test_figure_query_sets(case):
+    _, g, comms, q = case
+    r = fpa(g, q)
+    assert set(q) <= r and g.subgraph(r).is_connected()
+    nmi, _, _ = score_against_best_truth(g.n, r, comms, q)
+    assert 0 <= nmi <= 1
 
 
 class TestLayerSafety:

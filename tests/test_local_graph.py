@@ -91,14 +91,6 @@ class TestTraversal:
         theirs = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
         assert ours == theirs
 
-    def test_diameter_karate(self):
-        g, _ = karate()
-        assert g.diameter() == nx.diameter(to_nx(g))
-
-    def test_eccentricity(self):
-        g = LocalGraph.from_edges([(0, 1), (1, 2)])
-        assert g.eccentricity(1) == 1 and g.eccentricity(0) == 2
-
 
 class TestArticulation:
     def test_path_graph(self):
