@@ -5,7 +5,14 @@ Each configuration runs on fixed query sets over the default LFR graph
 answers are stored as the list of sizes plus a hash of the sorted sets,
 so any change to a returned community fails here. To regenerate after a
 deliberate change of results, run ``PYTHONPATH=src python -m
-tests.test_golden`` and paste its output over ``GOLDEN``.
+tests.test_golden`` and paste its output over ``GOLDEN`` and
+``GOLDEN_E11``.
+
+``GOLDEN_E11`` covers Figure 11's graphs (``lfr(seed=7, n, d_avg=12,
+d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA query
+peels up to 20K nodes. The slow configurations run on n = 2000 only:
+un-pruned FPA-DMG rescans its whole candidate layer per removal, and NCA
+rescores all of S.
 """
 from __future__ import annotations
 
@@ -79,7 +86,63 @@ def test_golden(name):
     assert digest(CONFIGS[name]) == GOLDEN[name]
 
 
+E11_SIZES = (2000, 5000, 20000)
+# configuration -> the e11 sizes it runs on
+E11_CONFIGS: Dict[str, Tuple[int, ...]] = {
+    "fpa-ratio-dm-full": E11_SIZES,
+    "fpa-ratio-dm-prune": E11_SIZES,
+    "fpa-dmg-dm-full": (2000,),
+    "fpa-dmg-dm-prune": E11_SIZES,
+    "nca": (2000,),
+}
+
+
+@lru_cache(maxsize=None)
+def _e11_cases(n: int) -> List[Tuple[object, List[int]]]:
+    """Two single-node query sets per size, plus one |Q| = 4 set on n = 2000."""
+    g, comms = lfr(seed=7, n=n, d_avg=12, d_max=60, max_c=200)
+    cases = [(g, q) for q in query_sets(g, comms, n_sets=2, q_size=1, seed=0)]
+    if n == 2000:
+        cases += [(g, q) for q in query_sets(g, comms, n_sets=1, q_size=4, seed=0)]
+    return cases
+
+
+def e11_digest(algo: Callable, n: int) -> Tuple[Tuple[int, ...], str]:
+    sets = [algo(g, q) for g, q in _e11_cases(n)]
+    text = repr([sorted(s) for s in sets])
+    return tuple(len(s) for s in sets), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+GOLDEN_E11: Dict[Tuple[str, int], Tuple[Tuple[int, ...], str]] = {
+    ("fpa-ratio-dm-full", 2000): ((111, 55, 27), "80eab3f097cd38eb"),
+    ("fpa-ratio-dm-full", 5000): ((776, 126), "0a20005305da502e"),
+    ("fpa-ratio-dm-full", 20000): ((58, 109), "05492a6498189280"),
+    ("fpa-ratio-dm-prune", 2000): ((18, 11, 4), "8f609dcc74d754b7"),
+    ("fpa-ratio-dm-prune", 5000): ((11, 23), "a359a27955a18271"),
+    ("fpa-ratio-dm-prune", 20000): ((13, 28), "547b40744f2f5799"),
+    ("fpa-dmg-dm-full", 2000): ((92, 41, 20), "d187365dfe1b647a"),
+    ("fpa-dmg-dm-prune", 2000): ((12, 7, 4), "254680ed489a8f25"),
+    ("fpa-dmg-dm-prune", 5000): ((8, 11), "75422c3c3e29101f"),
+    ("fpa-dmg-dm-prune", 20000): ((7, 11), "9c836261a6555dcd"),
+    ("nca", 2000): ((40, 41, 86), "caf434b588784461"),
+}
+
+
+@pytest.mark.parametrize("name,n", list(GOLDEN_E11), ids=[f"{a}-n{n}" for a, n in GOLDEN_E11])
+def test_golden_e11(name, n):
+    assert e11_digest(CONFIGS[name], n) == GOLDEN_E11[name, n]
+
+
+def test_golden_e11_covers_configs():
+    assert set(GOLDEN_E11) == {(a, n) for a, sizes in E11_CONFIGS.items() for n in sizes}
+
+
 if __name__ == "__main__":
     for name, algo in CONFIGS.items():
         sizes, h = digest(algo)
         print(f'    "{name}": ({sizes}, "{h}"),')
+    print()
+    for name, ns in E11_CONFIGS.items():
+        for n in ns:
+            sizes, h = e11_digest(CONFIGS[name], n)
+            print(f'    ("{name}", {n}): ({sizes}, "{h}"),')
