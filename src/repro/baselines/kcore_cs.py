@@ -25,8 +25,9 @@ def kc(
     cores = cores if cores is not None else core_numbers(g)
     if any(cores.get(q, 0) < k for q in qs):
         return None
-    found = g.subgraph([v for v, c in cores.items() if c >= k]).query_component(qs)
-    return None if found is None else found[1]
+    # the component of qs[0] in the k-core, without copying the k-core
+    comp = g.component_where(qs[0], lambda v, u: cores.get(u, 0) >= k)
+    return comp if all(q in comp for q in qs) else None
 
 
 def highcore(

@@ -18,12 +18,6 @@ from ..graphs.local import LocalGraph
 from ..graphs.localops import truss_numbers
 
 
-def _truss_subgraph(
-    truss: Dict[Tuple[int, int], int], k: int
-) -> LocalGraph:
-    return LocalGraph.from_edges([e for e, t in truss.items() if t >= k])
-
-
 def kt(
     g: LocalGraph,
     queries: Iterable[int],
@@ -34,8 +28,14 @@ def kt(
     if qs is None:
         return None
     truss = truss if truss is not None else truss_numbers(g)
-    found = _truss_subgraph(truss, k).query_component(qs)
-    return None if found is None else found[1]
+    # the component of qs[0] over the edges with truss number >= k,
+    # without copying them into a graph
+    comp = g.component_where(
+        qs[0], lambda v, u: truss[(v, u) if v < u else (u, v)] >= k)
+    # a lone qs[0] has no such edge, so it is not in the k-truss
+    if len(comp) == 1 or any(q not in comp for q in qs):
+        return None
+    return comp
 
 
 def hightruss(

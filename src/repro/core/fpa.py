@@ -20,12 +20,17 @@ Variants:
 
 The layer peelers only choose and remove nodes: ``PeelState`` keeps the
 incumbent (Algorithm 1's best S) as a prefix of its removal log, and
-every path returns ``state.best()``.
+every path returns ``state.best()``. They work on CSR positions
+(``LocalGraph.csr``) and read ``PeelState``'s flat arrays; positions are
+in id order, so every tie breaks as it would on ids. For |Q| = 1 one
+CSR BFS from q gives both the component and the layers.
 """
 from __future__ import annotations
 
 import heapq
 from typing import Iterable, List, Optional, Set
+
+import numpy as np
 
 from ..graphs.local import LocalGraph
 from .modularity import density_ratio, dm_gain
@@ -35,27 +40,27 @@ from .steiner import steiner_connector
 
 def _peel_layer_ratio(state: PeelState, layer: List[int]) -> None:
     """Drain one layer in max-Θ order with a lazy-deletion heap."""
-    heap = [(-density_ratio(state.deg[v], state.k[v]), state.k[v], v) for v in layer]
+    k, deg = state.k, state.deg
+    heap = [(-density_ratio(deg[v], k[v]), k[v], v) for v in layer]
     heapq.heapify(heap)
     cand = set(layer)
     while cand:
         negt, kv, u = heapq.heappop(heap)
-        if u not in cand or state.k[u] != kv:
+        if u not in cand or k[u] != kv:
             continue  # stale entry
         cand.discard(u)
         for w in state.remove(u):
             if w in cand:
-                heapq.heappush(
-                    heap, (-density_ratio(state.deg[w], state.k[w]), state.k[w], w)
-                )
+                heapq.heappush(heap, (-density_ratio(deg[w], k[w]), k[w], w))
 
 
 def _peel_layer_dmg(state: PeelState, layer: List[int]) -> None:
     """Drain one layer in max-Λ order; Λ is unstable (Lemma 4) so it is
     recomputed over all remaining candidates each removal."""
+    k, deg = state.k, state.deg
     cand = set(layer)
     while cand:
-        u = max(cand, key=lambda v: (dm_gain(state.k[v], state.d, state.deg[v], state.m), v))
+        u = max(cand, key=lambda v: (dm_gain(k[v], state.d, deg[v], state.m), v))
         cand.discard(u)
         state.remove(u)
 
@@ -70,13 +75,17 @@ def fpa(
 ) -> Optional[Set[int]]:
     """Run FPA; returns the community node set, or None when the query
     nodes are not in one connected component."""
-    found = g.query_component(queries)
+    found = g.query_bfs(queries)
     if found is None:
         return None
-    qs, comp = found
-    seed = steiner_connector(g, qs)  # connected ⊇ Q (singleton {q} if |Q|=1)
-    layers = g.bfs_layers(seed)  # the seed is inside comp, so are its layers
-    state = PeelState(g, comp, measure)
+    qs, order, bounds = found  # BFS from qs[0]: its order is the component
+    csr = g.csr()
+    if len(qs) > 1:
+        seed = steiner_connector(g, qs)  # connected ⊇ Q
+        # the seed is inside the component, so its BFS covers the same nodes
+        order, bounds = csr.bfs(csr.positions(seed))
+    layers = [x.tolist() for x in np.split(order, bounds[1:-1])]
+    state = PeelState(g, csr.ids[order], measure)
 
     if prune:
         # §5.7 — score each distance-prefix S_i = {v : dist(v) <= i} by
@@ -93,7 +102,7 @@ def fpa(
             scores[i - 1] = state.score(measure)
         i_star = max(scores, key=lambda i: (scores[i], -i))
         layers = layers[: i_star + 1]
-        state = PeelState(g, set().union(*layers), measure)
+        state = PeelState(g, csr.ids[order[: bounds[i_star + 1]]], measure)
 
     peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
     for layer in reversed(layers[1:]):

@@ -11,12 +11,15 @@ All unweighted-graph forms. Conventions (paper §3/§4):
 An edgeless graph (``m = 0``) has ``l_C = d_C = 0`` for every C, so the
 scalar forms define CM = DM = 0 there instead of dividing by zero.
 
-Scalar forms (used inside the peel loops) and community-on-graph forms
+Scalar forms (used inside the peel loops), an array form (scores every
+prefix of a peel's removal log at once) and community-on-graph forms
 (used by the harness and tests to score a returned node set).
 """
 from __future__ import annotations
 
 from typing import Iterable, Set
+
+import numpy as np
 
 from ..graphs.local import LocalGraph
 
@@ -59,6 +62,36 @@ def dm_gain(k_vs: float, d_s: float, d_v: float, m: float) -> float:
 def density_ratio(d_v: float, k_vs: float) -> float:
     """Density ratio Θ_v^S = d_v / k_{v,S} (Definition 7)."""
     return d_v / k_vs if k_vs > 0 else float("inf")
+
+
+# -------------------------------------------------------------- array form
+def scores_of(
+    measure: str, l_c: np.ndarray, d_c: np.ndarray, size: np.ndarray, m: int
+) -> np.ndarray:
+    """``measure`` ("dm" | "cm" | "gmd") of many communities at once, from
+    int64 arrays of l_C, d_C and |C|.
+
+    Each element takes the floating-point operations of the scalar form
+    above, in the same order, so it is bit-equal to it, the ``m = 0``,
+    ``size <= 0`` (DM) and ``size < 2`` (GMD) cases included.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 0:
+            cm = np.zeros(len(l_c))
+        else:
+            cm = (1.0 / (2.0 * m)) * (2.0 * l_c - d_c * d_c / (2.0 * m))
+        if measure == "cm":
+            return cm
+        if measure == "dm":
+            out = (np.zeros(len(l_c)) if m == 0 else
+                   (1.0 / (2.0 * size)) * (2.0 * l_c - d_c * d_c / (2.0 * m)))
+            out[size <= 0] = -np.inf
+            return out
+        if measure == "gmd":
+            out = cm * (2.0 * l_c / (size * (size - 1))) ** 1.0
+            out[size < 2] = -np.inf
+            return out
+    raise ValueError(f"unknown measure {measure!r}")
 
 
 # ------------------------------------------------- community-on-graph forms

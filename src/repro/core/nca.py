@@ -16,7 +16,10 @@ non-articulation nodes: the same choice, without the full articulation
 set.
 
 ``PeelState`` keeps the incumbent (Algorithm 1's best S) as a prefix of
-its removal log and rebuilds it once at the end.
+its removal log and rebuilds it once at the end. NCA works on CSR
+positions (``LocalGraph.csr``): Λ/Θ are vectors over ``PeelState``'s
+shared ``k`` and the CSR degrees, and ``stays_connected`` reads the
+alive mask.
 
 ``scorer="ratio"`` gives the NCA-DR variant ((a)+(d), Figure 14).
 ``time_budget`` (seconds) bounds the loop: on expiry the best incumbent
@@ -26,25 +29,27 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
 import numpy as np
 
-from ..graphs.local import LocalGraph
+from ..graphs.local import CSR, LocalGraph
 from .modularity import dm_gain
 from .peel import PeelState
 
 
-def stays_connected(adj: Dict[int, Set[int]], members: Set[int], u: int) -> bool:
-    """Whether ``members - {u}`` is connected, given that ``members`` is.
+def stays_connected(csr: CSR, alive: bytearray, u: int) -> bool:
+    """Whether S - {u} is connected, given that S is; S is the positions
+    set in ``alive`` and ``u`` one of them.
 
-    A multi-source BFS from u's neighbours in ``members`` (skipping u)
-    labels each node with the neighbour that reached it; labels are
-    merged (union-find) where two frontiers meet. Every component of
-    ``members - {u}`` holds a neighbour of u, so the set stays connected
-    exactly when one label remains; the search stops as soon as it does.
+    A multi-source BFS from u's neighbours in S (skipping u) labels each
+    node with the neighbour that reached it; labels are merged
+    (union-find) where two frontiers meet. Every component of S - {u}
+    holds a neighbour of u, so the set stays connected exactly when one
+    label remains; the search stops as soon as it does.
     """
-    roots = [w for w in adj[u] if w in members]
+    ptr, nbr = csr.py_indptr, csr.py_indices
+    roots = [w for w in nbr[ptr[u]:ptr[u + 1]] if alive[w]]
     if len(roots) <= 1:
         return True
     parent = list(range(len(roots)))
@@ -62,10 +67,10 @@ def stays_connected(adj: Dict[int, Set[int]], members: Set[int], u: int) -> bool
     while frontier:
         v = frontier.popleft()
         lv = label[v]
-        for w in adj[v]:
+        for w in nbr[ptr[v]:ptr[v + 1]]:
             lw = label.get(w)
             if lw is None:
-                if w in members:
+                if alive[w]:
                     label[w] = lv
                     frontier.append(w)
             elif lw != lv and lw >= 0:
@@ -86,22 +91,22 @@ def nca(
     measure: str = "dm",
     time_budget: float | None = None,
 ) -> Optional[Set[int]]:
-    found = g.query_component(queries)
+    found = g.query_bfs(queries)
     if found is None:
         return None
-    qs, comp = found
-    dist = g.bfs_dist(qs)
-    state = PeelState(g, comp, measure)
-    # Dense positions over the component, sorted by id, so the key
-    # (score, dist, id) becomes (score, dist·n + position).
-    nodes = sorted(comp)
-    n = len(nodes)
-    pos = {v: i for i, v in enumerate(nodes)}
-    deg = np.array([state.deg[v] for v in nodes], dtype=np.float64)
-    k = np.array([state.k[v] for v in nodes], dtype=np.float64)
-    tie = np.array([dist.get(v, 0) for v in nodes], dtype=np.int64) * n + np.arange(n)
-    removable = np.ones(n, dtype=bool)
-    removable[[pos[q] for q in qs]] = False
+    qs, order, bounds = found
+    csr = g.csr()
+    qpos = csr.positions(qs)
+    if len(qs) > 1:  # distances from the nearest query node
+        order, bounds = csr.bfs(qpos)
+    state = PeelState(g, csr.ids[order], measure)
+    n = csr.n
+    # Positions are in id order, so the key (score, dist, id) becomes
+    # (score, dist·n + position).
+    dist = np.zeros(n, dtype=np.int64)
+    dist[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    tie = dist * n + np.arange(n)
+    k, deg, alive = state.k_array(), csr.deg, state.S.array()
 
     t0 = time.monotonic()
     while True:
@@ -111,18 +116,18 @@ def nca(
             # Λ over the whole vector; exact integers in float64
             key = dm_gain(k, state.d, deg, state.m)
         else:  # NCA-DR: Θ = density_ratio(deg, k)
-            key = np.where(k > 0, deg / np.where(k > 0, k, 1.0), np.inf)
-        key[~removable] = -np.inf
+            key = np.where(k > 0, deg / np.where(k > 0, k, 1), np.inf)
+        key[~alive] = -np.inf
+        key[qpos] = -np.inf
         while (top := key.max()) > -np.inf:
             ties = np.flatnonzero(key == top)
             u = int(ties[np.argmax(tie[ties])])
-            if stays_connected(g.adj, state.S, nodes[u]):
+            if stays_connected(csr, state.S.mask, u):
                 break
             key[u] = -np.inf  # an articulation point of S: try the next best
         else:
             break  # every candidate left is an articulation point
-        removable[u] = False
-        k[[pos[w] for w in state.remove(nodes[u])]] -= 1
+        state.remove(u)
     return state.best()
 
 

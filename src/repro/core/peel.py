@@ -7,66 +7,167 @@ O(deg(v)) per removal. The full graph is never mutated; degrees ``d_v``
 are original-graph degrees throughout, matching the null model in
 Definitions 1/2/5/6.
 
+The state is flat arrays over the positions of the graph's CSR view
+(:meth:`repro.graphs.local.LocalGraph.csr`; position order is id
+order): ``S`` is an alive mask, ``k`` an ``array('q')`` that numpy can
+view without a copy (:meth:`PeelState.k_array`), ``deg`` the CSR's
+degrees. The set-up is one vectorised count over the CSR rows of the
+start set. ``remove`` and every node argument take positions.
+
 It also keeps Algorithm 1's answer, "the best S seen so far" under the
 selection ``measure``, as greedy peeling does (Charikar, APPROX 2000):
-removals go to an append-only ``order``, and the incumbent is the start
-set minus the prefix ``order[:best_len]``. A later S replaces the
-incumbent when it scores at least as well, so ties go to the smaller
-set. ``best()`` rebuilds the incumbent once, at the end.
+removals go to an append-only log (``order`` and the ``k_{v,S}`` each
+node had when it left). The incumbent is the start set minus the prefix
+``order[:best_len]``, and a later S replaces it when it scores at least
+as well, so ties go to the smaller set. ``best()`` finds that prefix
+with one vectorised scan of the log and rebuilds the incumbent once, at
+the end.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from array import array
+from typing import Iterable, List, Set, Tuple
 
-from ..graphs.local import LocalGraph
+import numpy as np
+
+from ..graphs.local import CSR, LocalGraph
 from .modularity import (
     classic_modularity,
     density_modularity,
     generalized_modularity_density,
+    scores_of,
 )
 
 MEASURES = ("dm", "cm", "gmd")
 
 
+class Members:
+    """S as an alive mask over CSR positions; ``len`` is |S|."""
+
+    __slots__ = ("mask", "size")
+
+    def __init__(self, mask: bytearray, size: int) -> None:
+        self.mask, self.size = mask, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __contains__(self, p: int) -> bool:
+        return bool(self.mask[p])
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.array()).tolist())
+
+    def array(self) -> np.ndarray:
+        """The mask as a numpy bool view (no copy)."""
+        return np.frombuffer(self.mask, dtype=np.bool_)
+
+
+def _count_k(csr: CSR, alive: np.ndarray) -> np.ndarray:
+    """k_{v,S} for every position v (0 outside S): one bincount over the
+    CSR rows of S."""
+    rows = np.flatnonzero(alive)
+    own = np.repeat(rows, csr.deg[rows])
+    return np.bincount(own[alive[csr.neighbours(rows)]], minlength=csr.n)
+
+
 class PeelState:
-    __slots__ = ("g", "m", "deg", "S", "k", "l", "d",
-                 "measure", "order", "best_len", "best_score")
+    __slots__ = ("g", "csr", "m", "deg", "S", "k", "l", "d",
+                 "measure", "order", "removed_k", "start")
 
     def __init__(self, g_full: LocalGraph, nodes: Iterable[int], measure: str = "dm") -> None:
+        """Start from the node ids ``nodes``."""
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
         self.g = g_full
+        self.csr = csr = g_full.csr()
         self.m = g_full.m
-        self.deg = g_full.degrees()
-        self.S: Set[int] = set(nodes)
-        self.k: Dict[int, int] = {
-            v: sum(1 for u in g_full.adj[v] if u in self.S) for v in self.S
-        }
-        self.l: int = sum(self.k.values()) // 2
-        self.d: int = sum(self.deg[v] for v in self.S)
+        self.deg = csr.py_deg
+        mask = bytearray(csr.n)
+        self.S = Members(mask, 0)
+        alive = self.S.array()
+        alive[csr.positions(nodes)] = True
+        self.S.size = int(np.count_nonzero(alive))
+        k = _count_k(csr, alive)
+        self.k = array("q", k.tobytes())
+        self.l: int = int(k.sum()) // 2
+        self.d: int = int(csr.deg[alive].sum())
         self.measure = measure
         self.order: List[int] = []
-        self.best_len = 0
-        self.best_score = self.score(measure)
+        self.removed_k: List[int] = []
+        self.start = (self.l, self.d, self.S.size)
+
+    def k_array(self) -> np.ndarray:
+        """``k`` as an int64 numpy view; it follows every removal."""
+        return np.frombuffer(self.k, dtype=np.int64)
 
     def remove(self, v: int) -> List[int]:
-        """Remove ``v`` from S and keep S if it is the best seen; returns
-        the members whose k changed."""
-        self.S.remove(v)
-        self.l -= self.k.pop(v)
+        """Remove position ``v`` from S and log it; returns the positions
+        in S whose k changed."""
+        S, k = self.S, self.k
+        alive = S.mask
+        if not alive[v]:
+            raise KeyError(v)
+        alive[v] = 0
+        S.size -= 1
+        kv = k[v]
+        self.l -= kv
         self.d -= self.deg[v]
-        changed: List[int] = []
-        for u in self.g.adj[v]:
-            if u in self.S:
-                self.k[u] -= 1
-                changed.append(u)
+        ptr = self.csr.py_indptr
+        changed = [u for u in self.csr.py_indices[ptr[v]:ptr[v + 1]] if alive[u]]
+        for u in changed:
+            k[u] -= 1
         self.order.append(v)
-        s = self.score(self.measure)
-        if s >= self.best_score:
-            self.best_score, self.best_len = s, len(self.order)
+        self.removed_k.append(kv)
         return changed
 
+    # ------------------------------------------------------------ incumbent
+    def _scan(self) -> Tuple[int, float]:
+        """(best_len, best_score): the last prefix of the log whose S
+        scores highest, found by scoring every S_t at once."""
+        l0, d0, n0 = self.start
+        order = np.array(self.order, dtype=np.int64)
+        t = np.arange(len(order) + 1)
+        l = l0 - np.concatenate(([0], np.cumsum(self.removed_k, dtype=np.int64)))
+        d = d0 - np.concatenate(([0], np.cumsum(self.csr.deg[order], dtype=np.int64)))
+        scores = scores_of(self.measure, l, d, n0 - t, self.m)
+        best = len(order) - int(np.argmax(scores[::-1]))  # a tie keeps the later S
+        return best, float(scores[best])
+
+    @property
+    def best_len(self) -> int:
+        return self._scan()[0]
+
+    @property
+    def best_score(self) -> float:
+        return self._scan()[1]
+
     def best(self) -> Set[int]:
-        """The incumbent: S plus the removals after the best prefix."""
-        return self.S.union(self.order[self.best_len:])
+        """The incumbent's node ids: S plus the removals after the best
+        prefix."""
+        mask = self.S.array().copy()
+        mask[self.order[self._scan()[0]:]] = True
+        return set(self.csr.ids[mask].tolist())
+
+    def check(self) -> None:
+        """Recompute ``l_S``, ``d_S``, |S| and every ``k_{v,S}`` from the
+        CSR and raise AssertionError where an incremental value differs,
+        or where replaying the log from the start set does not give them."""
+        alive = self.S.array()
+        k = _count_k(self.csr, alive)
+        got = self.k_array()
+        bad = np.flatnonzero(alive & (k != got))
+        if bad.size:
+            p = int(bad[0])
+            raise AssertionError(f"k of position {p} is {got[p]}, recomputed {k[p]}")
+        fresh = (int(k.sum()) // 2, int(self.csr.deg[alive].sum()), int(alive.sum()))
+        if fresh != (self.l, self.d, self.S.size):
+            raise AssertionError(f"(l, d, |S|) is {(self.l, self.d, self.S.size)}, recomputed {fresh}")
+        l0, d0, n0 = self.start
+        replay = (l0 - sum(self.removed_k), d0 - sum(self.deg[v] for v in self.order),
+                  n0 - len(self.order))
+        if replay != fresh:
+            raise AssertionError(f"the removal log gives (l, d, |S|) = {replay}, recomputed {fresh}")
 
     # ------------------------------------------------------------- scoring
     def dm(self) -> float:

@@ -6,13 +6,20 @@ phase (components, BFS layers, degrees) included; ``repro.graphs.localops``
 builds the core/truss indices on it. The Spark ``Graph`` can be collected
 into one with :meth:`repro.graphs.graph.Graph.to_local`.
 
-``LocalGraph`` is an undirected simple graph over integer node ids with a
-dynamic adjacency (dict of sets). It hosts the classic sequential
+``LocalGraph`` is an undirected simple graph over integer node ids. It is
+stored as a dynamic adjacency (dict of sets), which the mutating
+baselines edit, and read through a cached, read-only CSR view
+(:class:`CSR`, from :meth:`LocalGraph.csr`): node ids sorted into dense
+positions 0..n-1, ``indptr``/``indices`` arrays and degrees. The view is
+built on first use and dropped by every mutation. The peel kernel
+(``repro.core.peel``) keeps S, ``k_{v,S}`` and its removal log as flat
+arrays over these positions. The graph hosts the classic sequential
 primitives the paper relies on:
 
+* level-synchronous numpy BFS over the CSR: multi-source distances and
+  layers, components, the component of a query set,
 * Tarjan articulation points / bridges (DFS-tree, iterative — no Python
   recursion-limit issues on large graphs),
-* multi-source BFS distances and layers,
 * Brandes betweenness (edge and node) for the GN baseline / case study,
 * Bron–Kerbosch maximal cliques (pivoting) for the clique baseline,
 * Stoer–Wagner global min cut for the exact k-ECC baseline,
@@ -20,12 +27,107 @@ primitives the paper relies on:
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from itertools import chain
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
 import numpy as np
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over the pairs (s, l)."""
+    total = int(lens.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
+
+
+def _shared(typecode: str, values: np.ndarray, dtype) -> Tuple[array, np.ndarray]:
+    """``values`` as an ``array.array`` and a read-only numpy view of the
+    same buffer: the first indexes fast from a Python loop, the second
+    serves the vectorised passes."""
+    buf = array(typecode)
+    buf.frombytes(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    view = np.frombuffer(buf, dtype=dtype)
+    view.flags.writeable = False
+    return buf, view
+
+
+class CSR:
+    """Read-only compressed sparse row view of a :class:`LocalGraph`.
+
+    Position ``i`` (0..n-1) holds node ``ids[i]``; ids are sorted, so
+    position order is id order. The neighbour positions of ``i`` are
+    ``indices[indptr[i]:indptr[i + 1]]`` and its degree is ``deg[i]``.
+    ``py_indptr``, ``py_indices`` and ``py_deg`` are the same buffers as
+    ``array.array`` objects, for Python loops. When the ids are already
+    0..n-1 (``identity``), a node's position is its id.
+    """
+
+    __slots__ = ("ids", "identity", "indptr", "indices", "deg",
+                 "py_indptr", "py_indices", "py_deg")
+
+    def __init__(self, adj: Dict[int, Set[int]]) -> None:
+        keys = sorted(adj)
+        n = len(keys)
+        self.ids = np.array(keys, dtype=np.int64)
+        self.identity = n == 0 or (keys[0] == 0 and keys[-1] == n - 1)
+        rows = list(map(adj.__getitem__, keys))
+        deg = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        nbrs = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(deg.sum()))
+        if not self.identity:
+            nbrs = np.searchsorted(self.ids, nbrs)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        self.py_indptr, self.indptr = _shared("q", indptr, np.int64)
+        self.py_indices, self.indices = _shared("i", nbrs, np.int32)
+        self.py_deg, self.deg = _shared("q", deg, np.int64)
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    def positions(self, nodes: Iterable[int]) -> np.ndarray:
+        """Positions of the node ids ``nodes``; KeyError on an unknown id."""
+        arr = (nodes if isinstance(nodes, np.ndarray)
+               else np.fromiter(nodes, dtype=np.int64)).astype(np.int64, copy=False)
+        if self.identity:
+            pos = arr
+            bad = (pos < 0) | (pos >= self.n)
+        else:
+            pos = np.minimum(np.searchsorted(self.ids, arr), max(self.n - 1, 0))
+            bad = self.ids[pos] != arr if self.n else np.ones(len(arr), dtype=bool)
+        if bad.any():
+            raise KeyError(f"nodes not in graph: {arr[bad][:5].tolist()}")
+        return pos
+
+    def neighbours(self, rows: np.ndarray) -> np.ndarray:
+        """The neighbour positions of ``rows``, row after row."""
+        return self.indices[_ranges(self.indptr[rows], self.deg[rows])]
+
+    def bfs(self, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Level-synchronous BFS from the positions ``sources``.
+
+        Returns ``(order, bounds)``: the reached positions level by level,
+        level ``i`` being ``order[bounds[i]:bounds[i + 1]]``, sorted within
+        each level. ``bounds`` has one entry more than there are levels.
+        """
+        seen = np.zeros(self.n, dtype=bool)
+        frontier = np.unique(np.asarray(sources, dtype=np.int64))
+        levels: List[np.ndarray] = []
+        while frontier.size:
+            seen[frontier] = True
+            levels.append(frontier)
+            nb = self.neighbours(frontier)
+            frontier = np.unique(nb[~seen[nb]])
+        bounds = np.zeros(len(levels) + 1, dtype=np.int64)
+        bounds[1:] = np.cumsum([len(x) for x in levels], dtype=np.int64)
+        order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
+        return order, bounds
 
 
 class LocalGraph:
@@ -35,11 +137,12 @@ class LocalGraph:
     construction, matching the canonicalization of the Spark ``Graph``.
     """
 
-    __slots__ = ("adj", "m")
+    __slots__ = ("adj", "m", "_csr")
 
     def __init__(self) -> None:
         self.adj: Dict[int, Set[int]] = {}
         self.m: int = 0  # number of undirected edges
+        self._csr: Optional[CSR] = None
 
     # ---------------------------------------------------------- construction
     @classmethod
@@ -66,8 +169,11 @@ class LocalGraph:
         return g
 
     # ------------------------------------------------------------- mutation
+    # Every change drops the CSR view; the next read rebuilds it.
     def add_node(self, v: int) -> None:
-        self.adj.setdefault(v, set())
+        if v not in self.adj:
+            self.adj[v] = set()
+            self._csr = None
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -78,18 +184,28 @@ class LocalGraph:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.m += 1
+            self._csr = None
 
     def remove_edge(self, u: int, v: int) -> None:
         if v in self.adj.get(u, ()):
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             self.m -= 1
+            self._csr = None
 
     def remove_node(self, v: int) -> None:
-        for u in list(self.adj.get(v, ())):
+        if v not in self.adj:
+            return
+        for u in self.adj.pop(v):
             self.adj[u].discard(v)
             self.m -= 1
-        self.adj.pop(v, None)
+        self._csr = None
+
+    def csr(self) -> CSR:
+        """The read-only CSR view, built on first use after a mutation."""
+        if self._csr is None:
+            self._csr = CSR(self.adj)
+        return self._csr
 
     # -------------------------------------------------------------- queries
     @property
@@ -139,38 +255,43 @@ class LocalGraph:
         return cnt
 
     # ------------------------------------------------------------ traversal
+    def _bfs(self, sources: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR BFS from the sources that are in the graph."""
+        csr = self.csr()
+        return csr.bfs(csr.positions([s for s in sources if s in self.adj]))
+
     def bfs_dist(self, sources: Iterable[int]) -> Dict[int, int]:
         """Shortest unweighted distance from the nearest source.
 
         Unreachable nodes are absent from the result.
         """
-        dist: Dict[int, int] = {}
-        q: deque[int] = deque()
-        for s in sources:
-            if s in self.adj and s not in dist:
-                dist[s] = 0
-                q.append(s)
-        while q:
-            v = q.popleft()
-            d = dist[v] + 1
-            for u in self.adj[v]:
-                if u not in dist:
-                    dist[u] = d
-                    q.append(u)
-        return dist
+        order, bounds = self._bfs(sources)
+        dist = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        return dict(zip(self.csr().ids[order].tolist(), dist.tolist()))
 
     def bfs_layers(self, sources: Iterable[int]) -> List[List[int]]:
-        """Nodes grouped by BFS distance; ``layers[i]`` is distance ``i``."""
-        dist = self.bfs_dist(sources)
-        if not dist:
-            return []
-        layers: List[List[int]] = [[] for _ in range(max(dist.values()) + 1)]
-        for v, d in dist.items():
-            layers[d].append(v)
-        return layers
+        """Nodes grouped by BFS distance; ``layers[i]`` is distance ``i``,
+        sorted by id."""
+        order, bounds = self._bfs(sources)
+        ids = self.csr().ids[order].tolist()
+        return [ids[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
     def connected_component(self, seed: int) -> Set[int]:
-        return set(self.bfs_dist([seed]))
+        order, _ = self._bfs([seed])
+        return set(self.csr().ids[order].tolist())
+
+    def component_where(self, seed: int, keep: Callable[[int, int], bool]) -> Set[int]:
+        """Nodes reachable from ``seed`` along edges (v, u) with ``keep(v, u)``:
+        the component of ``seed`` in a filtered graph, without copying it."""
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            v = stack.pop()
+            for u in self.adj[v]:
+                if u not in comp and keep(v, u):
+                    comp.add(u)
+                    stack.append(u)
+        return comp
 
     def query_nodes(self, queries: Iterable[int]) -> Optional[List[int]]:
         """Sorted distinct query nodes; None when Q is empty or names a
@@ -180,10 +301,12 @@ class LocalGraph:
             return None
         return qs
 
-    def query_component(
+    def query_bfs(
         self, queries: Iterable[int]
-    ) -> Optional[Tuple[List[int], Set[int]]]:
-        """Sorted distinct query nodes and the component holding them all.
+    ) -> Optional[Tuple[List[int], np.ndarray, np.ndarray]]:
+        """Sorted distinct query nodes and the CSR BFS (``order``,
+        ``bounds``, as :meth:`CSR.bfs`) from the smallest of them, whose
+        ``order`` is the component holding Q.
 
         None when :meth:`query_nodes` rejects Q or Q spans more than one
         component: no connected community contains such a Q.
@@ -191,10 +314,25 @@ class LocalGraph:
         qs = self.query_nodes(queries)
         if qs is None:
             return None
-        comp = self.connected_component(qs[0])
-        if any(q not in comp for q in qs):
+        csr = self.csr()
+        order, bounds = csr.bfs(csr.positions(qs[:1]))
+        if len(qs) > 1:
+            seen = np.zeros(csr.n, dtype=bool)
+            seen[order] = True
+            if not seen[csr.positions(qs)].all():
+                return None
+        return qs, order, bounds
+
+    def query_component(
+        self, queries: Iterable[int]
+    ) -> Optional[Tuple[List[int], Set[int]]]:
+        """Sorted distinct query nodes and the component holding them all;
+        None where :meth:`query_bfs` is."""
+        found = self.query_bfs(queries)
+        if found is None:
             return None
-        return qs, comp
+        qs, order, _ = found
+        return qs, set(self.csr().ids[order].tolist())
 
     def connected_components(self) -> List[Set[int]]:
         seen: Set[int] = set()

@@ -20,7 +20,7 @@ from repro.gendata.lfr import lfr_graph
 from repro.graphs.local import LocalGraph
 from repro.graphs.localops import core_numbers, truss_numbers
 
-from .util import random_local_graph, to_nx
+from .util import GNP_CASES, random_local_graph, to_nx
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,63 @@ class TestKT:
         sub_edges = [e for e, tv in t.items() if tv >= k_q]
         sub = LocalGraph.from_edges(sub_edges)
         assert r == sub.connected_component(0)
+
+
+def _kc_copying(g, queries, k, cores):
+    """kc as it was: copy the whole k-core, then take Q's component."""
+    qs = g.query_nodes(queries)
+    if qs is None or any(cores.get(q, 0) < k for q in qs):
+        return None
+    found = g.subgraph([v for v, c in cores.items() if c >= k]).query_component(qs)
+    return None if found is None else found[1]
+
+
+def _kt_copying(g, queries, k, truss):
+    """kt as it was: copy the edges with truss >= k into a new graph."""
+    qs = g.query_nodes(queries)
+    if qs is None:
+        return None
+    found = LocalGraph.from_edges([e for e, t in truss.items() if t >= k]).query_component(qs)
+    return None if found is None else found[1]
+
+
+def _high_copying(one, g, queries, index, k_hi, k_lo):
+    """highcore/hightruss as they were, over a copying kc/kt."""
+    for k in range(k_hi, k_lo, -1):
+        res = one(g, queries, k, index)
+        if res is not None:
+            return res
+    found = g.query_component(queries)
+    return None if found is None else found[1]
+
+
+def _filter_cases():
+    g, _ = karate()
+    yield "karate", g
+    for n, p, seed in GNP_CASES:
+        yield f"gnp-{n}-{seed}", random_local_graph(n, p, seed)
+
+
+FILTER_CASES = list(_filter_cases())
+
+
+@pytest.mark.parametrize("name,g", FILTER_CASES, ids=[name for name, _ in FILTER_CASES])
+def test_filtered_bfs_matches_copying_forms(name, g):
+    """kc/kt BFS inside the k-core / k-truss without copying it: every
+    answer equals the copying forms', for every k, on single nodes and
+    on pairs (including pairs split across components)."""
+    cores, truss = core_numbers(g), truss_numbers(g)
+    nodes = sorted(g.adj)
+    queries = [[v] for v in nodes] + [[u, v] for u, v in zip(nodes, nodes[len(nodes) // 2:])]
+    for q in queries:
+        for k in range(0, max(cores.values()) + 2):
+            assert kc(g, q, k=k, cores=cores) == _kc_copying(g, q, k, cores)
+        for k in range(2, max(truss.values(), default=2) + 2):
+            assert kt(g, q, k=k, truss=truss) == _kt_copying(g, q, k, truss)
+        assert highcore(g, q, cores=cores) == _high_copying(
+            _kc_copying, g, q, cores, min(cores[v] for v in q), 0)
+        assert hightruss(g, q, truss=truss) == _high_copying(
+            _kt_copying, g, q, truss, max(truss.values(), default=2), 2)
 
 
 class TestHuang2015:

@@ -1,5 +1,7 @@
 """LocalGraph kernel: construction, mutation, traversal, and the classic
 sequential primitives — all cross-checked against networkx references."""
+from collections import deque
+
 import networkx as nx
 import pytest
 
@@ -90,6 +92,129 @@ class TestTraversal:
         ours = sorted(sorted(c) for c in g.connected_components())
         theirs = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
         assert ours == theirs
+
+
+def _dict_bfs(g, sources):
+    """Queue BFS over the dict of sets: the reference for the CSR BFS."""
+    dist = {s: 0 for s in sources if s in g.adj}
+    q = deque(dist)
+    while q:
+        v = q.popleft()
+        for u in g.adj[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                q.append(u)
+    return dist
+
+
+def _relabelled(n, p, seed):
+    """A GNP graph with node v renamed 10v + 3: ids that are not 0..n-1."""
+    g = random_local_graph(n, p, seed)
+    return LocalGraph.from_edges(
+        [(10 * u + 3, 10 * v + 3) for u, v in g.edges()], nodes=[10 * v + 3 for v in g.adj])
+
+
+class TestCSR:
+    @pytest.mark.parametrize("relabel", [False, True], ids=["dense", "10v+3"])
+    @pytest.mark.parametrize("n,p,seed", GNP_CASES)
+    def test_view_matches_adjacency(self, n, p, seed, relabel):
+        g = _relabelled(n, p, seed) if relabel else random_local_graph(n, p, seed)
+        c = g.csr()
+        assert c.identity is not relabel
+        assert c.ids.tolist() == sorted(g.adj)
+        assert c.positions(sorted(g.adj)).tolist() == list(range(g.n))
+        assert c.deg.tolist() == [g.degree(v) for v in sorted(g.adj)]
+        for i, v in enumerate(c.ids.tolist()):
+            row = c.indices[c.indptr[i]:c.indptr[i + 1]]
+            assert sorted(c.ids[row].tolist()) == sorted(g.adj[v])
+            assert list(c.py_indices[c.py_indptr[i]:c.py_indptr[i + 1]]) == row.tolist()
+        assert list(c.py_deg) == c.deg.tolist()
+        with pytest.raises(ValueError):
+            c.indices[:1] = 0  # read-only
+        with pytest.raises(KeyError):
+            c.positions([7 if relabel else n])
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["dense", "10v+3"])
+    @pytest.mark.parametrize("n,p,seed", GNP_CASES)
+    def test_bfs_vs_dict_and_networkx(self, n, p, seed, relabel):
+        g = _relabelled(n, p, seed) if relabel else random_local_graph(n, p, seed)
+        G = to_nx(g)
+        nodes = sorted(g.adj)
+        for sources in ([nodes[0]], [nodes[0], nodes[-1]], nodes[::7]):
+            dist = g.bfs_dist(sources)
+            assert dist == _dict_bfs(g, sources)
+            assert dist == nx.multi_source_dijkstra_path_length(G, set(sources))
+            layers = g.bfs_layers(sources)
+            assert [sorted(layer) for layer in layers] == layers
+            assert {v: d for d, layer in enumerate(layers) for v in layer} == dist
+        for comp in nx.connected_components(G):
+            assert g.connected_component(min(comp)) == comp
+
+    def test_isolated_nodes(self):
+        g = LocalGraph.from_edges([(13, 23)], nodes=[3, 33, 43])
+        assert g.csr().deg.tolist() == [0, 1, 1, 0, 0]
+        assert g.bfs_dist([3]) == {3: 0}
+        assert g.bfs_dist([3, 13]) == {3: 0, 13: 0, 23: 1}
+        assert g.bfs_layers([43]) == [[43]]
+        assert g.connected_component(33) == {33}
+        assert g.query_component([43]) == ([43], {43})
+        assert sorted(map(sorted, g.connected_components())) == [[3], [13, 23], [33], [43]]
+
+    def test_edgeless(self):
+        g = LocalGraph.from_edges([], nodes=[5, 9, 2])
+        c = g.csr()
+        assert c.indices.size == 0 and c.indptr.tolist() == [0, 0, 0, 0]
+        assert g.bfs_dist([5, 9]) == {5: 0, 9: 0}
+        assert g.query_component([9]) == ([9], {9})
+        assert g.query_component([2, 9]) is None
+        assert LocalGraph().bfs_dist([1]) == {}
+
+    def test_unknown_sources_skipped(self):
+        g = LocalGraph.from_edges([(13, 23)])
+        assert g.bfs_dist([99, 13]) == {13: 0, 23: 1}
+        assert g.connected_component(99) == set()
+
+    @pytest.mark.parametrize("n,p,seed", GNP_CASES)
+    def test_query_component_multi_and_split(self, n, p, seed):
+        g = _relabelled(n, p, seed)
+        comps = sorted(nx.connected_components(to_nx(g)), key=lambda c: (-len(c), min(c)))
+        big = sorted(comps[0])
+        qs = big[::3][:4]
+        found = g.query_component(reversed(qs + qs[:1]))  # unsorted, repeated
+        assert found == (sorted(set(qs)), comps[0])
+        qs_, order, bounds = g.query_bfs(qs)
+        assert set(g.csr().ids[order].tolist()) == comps[0]
+        assert bounds[0] == 0 and bounds[-1] == len(order)
+        if len(comps) > 1:  # Q split across two components
+            assert g.query_component([big[0], min(comps[1])]) is None
+            assert g.query_bfs([big[0], min(comps[1])]) is None
+        assert g.query_component([]) is None
+        assert g.query_component([big[0], 10 * n + 3]) is None
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_node(99),
+        lambda g: g.add_edge(0, 3),
+        lambda g: g.remove_edge(0, 1),
+        lambda g: g.remove_node(1),
+    ], ids=["add_node", "add_edge", "remove_edge", "remove_node"])
+    def test_mutation_drops_view(self, mutate):
+        g = LocalGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+        before = g.csr()
+        assert g.csr() is before  # cached
+        assert g.bfs_dist([0]) == {0: 0, 1: 1, 2: 2, 3: 3}
+        mutate(g)
+        assert g.csr() is not before
+        assert g.bfs_dist([0]) == _dict_bfs(g, [0])
+        assert g.csr().deg.tolist() == [g.degree(v) for v in sorted(g.adj)]
+
+    def test_no_op_mutation_keeps_view(self):
+        g = LocalGraph.from_edges([(0, 1), (1, 2)])
+        before = g.csr()
+        g.add_node(0)
+        g.add_edge(0, 1)
+        g.remove_edge(0, 2)
+        g.remove_node(7)
+        assert g.csr() is before
 
 
 class TestArticulation:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,9 @@ from repro.core.modularity import (
     dm_gain,
     dm_of,
     generalized_modularity_density,
+    scores_of,
 )
-from repro.core.peel import PeelState
+from repro.core.peel import MEASURES, PeelState
 from repro.gendata.classic import karate, ring_of_cliques
 
 from .util import random_local_graph
@@ -117,6 +119,31 @@ class TestFormulaIdentities:
         assert generalized_modularity_density(6, 12, 4, 50) == pytest.approx(
             classic_modularity(6, 12, 50)
         )
+
+
+class TestArrayForm:
+    """``scores_of`` is bit-equal to the scalar forms, edge cases included."""
+
+    SCALAR = {
+        "dm": lambda l, d, size, m: density_modularity(l, d, size, m),
+        "cm": lambda l, d, size, m: classic_modularity(l, d, m),
+        "gmd": lambda l, d, size, m: generalized_modularity_density(l, d, size, m),
+    }
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("m", [0, 1, 7, 108063, 3_000_000])
+    def test_bit_equal(self, measure, m):
+        rng = np.random.default_rng(m)
+        size = np.concatenate(([0, 1, 2, 3], rng.integers(0, 20000, 200)))
+        l = rng.integers(0, m + 1, len(size)) if m else np.zeros(len(size), dtype=np.int64)
+        d = np.minimum(2 * m, 2 * l + rng.integers(0, 2 * m + 1, len(size)))
+        got = scores_of(measure, l, d, size, m)
+        want = [self.SCALAR[measure](int(a), int(b), int(c), m) for a, b, c in zip(l, d, size)]
+        assert got.tolist() == want
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError):
+            scores_of("nope", np.zeros(1), np.zeros(1), np.ones(1), 3)
 
 
 class TestStability:

@@ -85,6 +85,16 @@ def _bridged_graph(seed):
     return g
 
 
+def _stays(g, members, u):
+    """``stays_connected`` on node ids: the alive mask of ``members`` and
+    u's position in the CSR view of g."""
+    csr = g.csr()
+    alive = bytearray(csr.n)
+    for p in csr.positions(members).tolist():
+        alive[p] = 1
+    return stays_connected(csr, alive, int(csr.positions([u])[0]))
+
+
 class TestStaysConnected:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_articulation_points(self, seed):
@@ -93,7 +103,7 @@ class TestStaysConnected:
         assert arts  # the bridge and the pendant paths guarantee some
         members = set(g.adj)
         for u in g.adj:
-            assert stays_connected(g.adj, members, u) == (u not in arts)
+            assert _stays(g, members, u) == (u not in arts)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_restricted_to_members(self, seed):
@@ -103,13 +113,13 @@ class TestStaysConnected:
         members = {v for v, d in g.bfs_dist([start]).items() if d <= 2}
         arts = g.subgraph(members).articulation_points()
         for u in members:
-            assert stays_connected(g.adj, members, u) == (u not in arts)
+            assert _stays(g, members, u) == (u not in arts)
 
     def test_tiny_sets(self):
         g = LocalGraph.from_edges([(0, 1), (1, 2)])
-        assert stays_connected(g.adj, {0}, 0)
-        assert stays_connected(g.adj, {0, 1}, 0)
-        assert not stays_connected(g.adj, {0, 1, 2}, 1)
+        assert _stays(g, {0}, 0)
+        assert _stays(g, {0, 1}, 0)
+        assert not _stays(g, {0, 1, 2}, 1)
 
 
 class TestInvariants:

@@ -1,4 +1,6 @@
 """PeelState incremental bookkeeping + the §5.6 Steiner connector."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,19 @@ from repro.core.modularity import (
 )
 from repro.core.peel import MEASURES, PeelState
 from repro.core.steiner import steiner_connector
+from repro.gendata.classic import karate
+from repro.gendata.lfr import lfr_graph
 from repro.graphs.local import LocalGraph
 
 from .util import GNP_CASES, random_local_graph
 
 
 class TestPeelState:
+    # The GNP graphs have ids 0..n-1, so a node's CSR position is its id.
     @pytest.mark.parametrize("n,p,seed", GNP_CASES[:5])
     def test_incremental_matches_recompute(self, n, p, seed):
         g = random_local_graph(n, p, seed)
+        assert g.csr().identity
         comp = max(g.connected_components(), key=len)
         st = PeelState(g, comp)
         order = sorted(comp)
@@ -28,7 +34,7 @@ class TestPeelState:
             l = g.internal_edges(st.S)
             d = sum(g.degree(u) for u in st.S)
             assert st.l == l and st.d == d
-            assert st.k == {
+            assert {u: st.k[u] for u in st.S} == {
                 u: sum(1 for w in g.adj[u] if w in st.S) for u in st.S
             }
             assert st.dm() == pytest.approx(
@@ -60,7 +66,99 @@ class TestPeelState:
     def test_subset_initialization(self):
         g = LocalGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         st = PeelState(g, {0, 1})
-        assert st.l == 1 and st.d == 4 and st.k == {0: 1, 1: 1}
+        assert st.l == 1 and st.d == 4 and {u: st.k[u] for u in st.S} == {0: 1, 1: 1}
+
+    def test_non_contiguous_ids(self):
+        # ids 10v + 3: positions are the ranks of the ids
+        g = LocalGraph.from_edges([(3, 13), (13, 23), (3, 23), (23, 33)])
+        st = PeelState(g, {3, 13, 23, 33})
+        assert list(st.S) == [0, 1, 2, 3]
+        assert sorted(st.remove(3)) == [2]  # position 3 is node 33
+        assert {u: st.k[u] for u in st.S} == {0: 2, 1: 2, 2: 2}
+        assert st.best() == {3, 13, 23, 33} and st.best_len == 0  # DM 0 beats the triangle's
+        st.check()
+
+
+def _check_after_each_removal(g, start, order, measure="dm"):
+    """A fresh PeelState on ``start`` that removes the positions ``order``
+    one by one and passes ``check()`` after each step."""
+    st = PeelState(g, start, measure)
+    st.check()
+    for v in order:
+        st.remove(v)
+        st.check()
+    return st
+
+
+class TestCheck:
+    """``PeelState.check()`` against the incremental values."""
+
+    @pytest.mark.parametrize("n,p,seed", GNP_CASES)
+    def test_random_order(self, n, p, seed):
+        g = random_local_graph(n, p, seed)
+        comp = max(g.connected_components(), key=len)
+        order = np.random.default_rng(seed).permutation(sorted(comp)).tolist()
+        _check_after_each_removal(g, comp, g.csr().positions(order).tolist())
+
+    def test_detects_drift(self):
+        g, _ = karate()
+        st = PeelState(g, g.nodes())
+        st.remove(0)
+        st.k[1] += 1
+        with pytest.raises(AssertionError, match="k of position 1"):
+            st.check()
+        st.k[1] -= 1
+        st.l -= 1
+        with pytest.raises(AssertionError):
+            st.check()
+        st.l += 1
+        st.removed_k[-1] += 1
+        with pytest.raises(AssertionError, match="removal log"):
+            st.check()
+
+
+def _replay_cases():
+    g, _ = karate()
+    cases = [("karate", g, q) for q in ([0], [33], [0, 33])]
+    g, _ = lfr_graph(n=150, d_avg=10, d_max=25, mu=0.3, min_c=10, max_c=40, seed=3)
+    comp = sorted(max(g.connected_components(), key=len))
+    cases += [("lfr150", g, q) for q in ([comp[0]], comp[:: len(comp) // 4][:4])]
+    return cases
+
+
+RUNS = {
+    "fpa": ("repro.core.fpa", "fpa", {}),
+    "fpa-prune": ("repro.core.fpa", "fpa", {"prune": True}),
+    "fpa-dmg-cm": ("repro.core.fpa", "fpa", {"scorer": "dmg", "measure": "cm"}),
+    "nca": ("repro.core.nca", "nca", {}),
+    "nca-dr-gmd": ("repro.core.nca", "nca", {"scorer": "ratio", "measure": "gmd"}),
+}
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+@pytest.mark.parametrize("case", _replay_cases(), ids=lambda c: f"{c[0]}-{len(c[2])}")
+def test_check_replays_removal_logs(case, run, monkeypatch):
+    """Record the PeelStates FPA/NCA make, replay each one's removal log
+    on a fresh state with ``check()`` after every step, and get the same
+    incumbent."""
+    _, g, q = case
+    modname, fn, kw = RUNS[run]
+    mod = importlib.import_module(modname)
+    made = []
+
+    class Recording(PeelState):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            made.append(self)
+
+    monkeypatch.setattr(mod, "PeelState", Recording)
+    res = getattr(mod, fn)(g, q, **kw)
+    assert made and res == made[-1].best()
+    ids = g.csr().ids
+    for st in made:
+        start = set(ids[st.S.array()].tolist()) | set(ids[st.order].tolist())
+        replay = _check_after_each_removal(g, start, st.order, st.measure)
+        assert replay.best_len == st.best_len and replay.best() == st.best()
 
 
 def _fresh_score(g, nodes, measure):
