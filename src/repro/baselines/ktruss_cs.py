@@ -47,7 +47,7 @@ def hightruss(
     if qs is None:
         return None
     truss = truss if truss is not None else truss_numbers(g)
-    k_hi = max((t for t in truss.values()), default=2)
+    k_hi = max(truss.values(), default=2)
     for k in range(k_hi, 2, -1):
         res = kt(g, qs, k=k, truss=truss)
         if res is not None:
@@ -77,7 +77,7 @@ def huang2015(
     if qs is None:
         return None
     truss = truss if truss is not None else truss_numbers(g)
-    k_hi = max((t for t in truss.values()), default=2)
+    k_hi = max(truss.values(), default=2)
     base: Optional[Set[int]] = None
     k_star = 2
     for k in range(k_hi, 1, -1):
@@ -93,9 +93,9 @@ def huang2015(
     sub = g.subgraph(base)
     qset = set(qs)
     best = set(sub.adj)
-    best_ecc = max(sub.bfs_dist(qs).values())
+    dist = sub.bfs_dist(qs)
+    best_ecc = max(dist.values())
     while True:
-        dist = sub.bfs_dist(qs)
         far = max(dist.values())
         if far == 0:
             break
@@ -108,8 +108,10 @@ def huang2015(
         # once enforcing the truss isolates a query node, stop.
         if any(q not in comp for q in qset) or len(comp) <= len(qset):
             break
-        sub = sub.subgraph(comp)
-        ecc = max(sub.bfs_dist(qs).values())
+        if len(comp) < sub.n:
+            sub = sub.subgraph(comp)
+        dist = sub.bfs_dist(qs)
+        ecc = max(dist.values())
         # strict improvement: keep the *largest* subgraph achieving each
         # better query distance (the closest-community objective), rather
         # than shrinking all the way to the query's neighbourhood

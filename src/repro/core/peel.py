@@ -72,14 +72,13 @@ def _count_k(csr: CSR, alive: np.ndarray) -> np.ndarray:
 
 
 class PeelState:
-    __slots__ = ("g", "csr", "m", "deg", "S", "k", "l", "d",
+    __slots__ = ("csr", "m", "deg", "S", "k", "l", "d",
                  "measure", "order", "removed_k", "start")
 
     def __init__(self, g_full: LocalGraph, nodes: Iterable[int], measure: str = "dm") -> None:
         """Start from the node ids ``nodes``."""
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-        self.g = g_full
         self.csr = csr = g_full.csr()
         self.m = g_full.m
         self.deg = csr.py_deg

@@ -6,8 +6,8 @@ the standard idiom for iterative DataFrame algorithms.
 
 Computes ``dist(v) = min over q in Q`` of the unweighted shortest-path
 distance (§5.6) on the Spark graph. The algorithms take their distance
-layers from ``LocalGraph.bfs_layers``/``bfs_dist`` instead; this op is
-checked against ``LocalGraph.bfs_dist``.
+layers from the local CSR BFS (``LocalGraph.query_bfs``/``bfs_dist``)
+instead; this op is checked against ``LocalGraph.bfs_dist``.
 """
 from __future__ import annotations
 

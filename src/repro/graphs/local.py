@@ -39,11 +39,8 @@ import numpy as np
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(s, s + l)`` over the pairs (s, l)."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
+    offsets = np.cumsum(lens) - lens  # where each range starts in the output
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
 
 
 def _shared(typecode: str, values: np.ndarray, dtype) -> Tuple[array, np.ndarray]:
@@ -98,9 +95,9 @@ class CSR:
         if self.identity:
             pos = arr
             bad = (pos < 0) | (pos >= self.n)
-        else:
-            pos = np.minimum(np.searchsorted(self.ids, arr), max(self.n - 1, 0))
-            bad = self.ids[pos] != arr if self.n else np.ones(len(arr), dtype=bool)
+        else:  # n >= 1 here: an empty graph is the identity
+            pos = np.minimum(np.searchsorted(self.ids, arr), self.n - 1)
+            bad = self.ids[pos] != arr
         if bad.any():
             raise KeyError(f"nodes not in graph: {arr[bad][:5].tolist()}")
         return pos
@@ -122,8 +119,11 @@ class CSR:
         while frontier.size:
             seen[frontier] = True
             levels.append(frontier)
-            nb = self.neighbours(frontier)
-            frontier = np.unique(nb[~seen[nb]])
+            # a mask dedupes and sorts the next level without a sort
+            fresh = np.zeros(self.n, dtype=bool)
+            fresh[self.neighbours(frontier)] = True
+            fresh[seen] = False
+            frontier = np.flatnonzero(fresh)
         bounds = np.zeros(len(levels) + 1, dtype=np.int64)
         bounds[1:] = np.cumsum([len(x) for x in levels], dtype=np.int64)
         order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
