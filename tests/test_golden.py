@@ -12,7 +12,8 @@ tests.test_golden`` and paste its output over ``GOLDEN`` and
 d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA query
 peels up to 20K nodes. The slow configurations run on n = 2000 only:
 un-pruned FPA-DMG rescans its whole candidate layer per removal, and NCA
-rescores all of S.
+rescores all of S. The keys of ``GOLDEN_E11`` are the configurations
+and sizes that run.
 """
 from __future__ import annotations
 
@@ -56,9 +57,10 @@ def _cases() -> List[Tuple[object, List[int]]]:
     return cases
 
 
-def digest(algo: Callable) -> Tuple[Tuple[int, ...], str]:
-    """(sizes, hash of the sorted sets) of ``algo`` over the fixed cases."""
-    sets = [algo(g, q) for g, q in _cases()]
+def digest(algo: Callable, cases=None) -> Tuple[Tuple[int, ...], str]:
+    """(sizes, hash of the sorted sets) of ``algo`` over ``cases``
+    (default: the fixed cases above)."""
+    sets = [algo(g, q) for g, q in (_cases() if cases is None else cases)]
     text = repr([sorted(s) for s in sets])
     return tuple(len(s) for s in sets), hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -86,17 +88,6 @@ def test_golden(name):
     assert digest(CONFIGS[name]) == GOLDEN[name]
 
 
-E11_SIZES = (2000, 5000, 20000)
-# configuration -> the e11 sizes it runs on
-E11_CONFIGS: Dict[str, Tuple[int, ...]] = {
-    "fpa-ratio-dm-full": E11_SIZES,
-    "fpa-ratio-dm-prune": E11_SIZES,
-    "fpa-dmg-dm-full": (2000,),
-    "fpa-dmg-dm-prune": E11_SIZES,
-    "nca": (2000,),
-}
-
-
 # query_sets(g, comms, n_sets=2, q_size=1, seed=0) on each e11 graph, plus
 # query_sets(..., n_sets=1, q_size=4, seed=0) on n = 2000, written out so
 # the file does not pay for the truss decompositions behind them.
@@ -111,12 +102,6 @@ E11_QUERIES: Dict[int, List[List[int]]] = {
 def _e11_cases(n: int) -> List[Tuple[object, List[int]]]:
     g, _ = lfr(seed=7, n=n, d_avg=12, d_max=60, max_c=200)
     return [(g, q) for q in E11_QUERIES[n]]
-
-
-def e11_digest(algo: Callable, n: int) -> Tuple[Tuple[int, ...], str]:
-    sets = [algo(g, q) for g, q in _e11_cases(n)]
-    text = repr([sorted(s) for s in sets])
-    return tuple(len(s) for s in sets), hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 GOLDEN_E11: Dict[Tuple[str, int], Tuple[Tuple[int, ...], str]] = {
@@ -136,11 +121,7 @@ GOLDEN_E11: Dict[Tuple[str, int], Tuple[Tuple[int, ...], str]] = {
 
 @pytest.mark.parametrize("name,n", list(GOLDEN_E11), ids=[f"{a}-n{n}" for a, n in GOLDEN_E11])
 def test_golden_e11(name, n):
-    assert e11_digest(CONFIGS[name], n) == GOLDEN_E11[name, n]
-
-
-def test_golden_e11_covers_configs():
-    assert set(GOLDEN_E11) == {(a, n) for a, sizes in E11_CONFIGS.items() for n in sizes}
+    assert digest(CONFIGS[name], _e11_cases(n)) == GOLDEN_E11[name, n]
 
 
 if __name__ == "__main__":
@@ -148,7 +129,6 @@ if __name__ == "__main__":
         sizes, h = digest(algo)
         print(f'    "{name}": ({sizes}, "{h}"),')
     print()
-    for name, ns in E11_CONFIGS.items():
-        for n in ns:
-            sizes, h = e11_digest(CONFIGS[name], n)
-            print(f'    ("{name}", {n}): ({sizes}, "{h}"),')
+    for name, n in GOLDEN_E11:
+        sizes, h = digest(CONFIGS[name], _e11_cases(n))
+        print(f'    ("{name}", {n}): ({sizes}, "{h}"),')
