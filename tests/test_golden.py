@@ -6,7 +6,7 @@ answers are stored as the list of sizes plus a hash of the sorted sets,
 so any change to a returned community fails here. To regenerate after a
 deliberate change of results, run ``PYTHONPATH=src python -m
 tests.test_golden`` and paste its output over ``GOLDEN`` and
-``GOLDEN_E11``.
+``GOLDEN_E11`` (and ``GOLDEN_INDEX``).
 
 ``GOLDEN_E11`` covers Figure 11's graphs (``lfr(seed=7, n, d_avg=12,
 d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA query
@@ -14,6 +14,11 @@ peels up to 20K nodes. The slow configurations run on n = 2000 only:
 un-pruned FPA-DMG rescans its whole candidate layer per removal, and NCA
 rescores all of S. The keys of ``GOLDEN_E11`` are the configurations
 and sizes that run.
+
+``GOLDEN_INDEX`` locks what every query above and every benchmark answer
+starts from: the truss index (``truss_numbers``, ``node_truss_numbers``)
+and the query sets drawn with it (``query_sets`` at |Q| = 1, 2 and 4) on
+the default LFR graph and the e11 graphs at n = 2000 and 5000.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from repro.core import fpa, nca, nca_dr
 from repro.evaluation.datasets import lfr
 from repro.evaluation.queries import query_sets
 from repro.gendata.classic import karate, ring_of_cliques
+from repro.graphs.localops import node_truss_numbers, truss_numbers
 
 
 def _configs() -> Dict[str, Callable]:
@@ -46,8 +52,14 @@ CONFIGS = _configs()
 
 
 @lru_cache(maxsize=None)
+def _lfr(n: int = 0):
+    """The default LFR graph (n = 0) or the e11 graph with n nodes."""
+    return lfr(seed=0) if n == 0 else lfr(seed=7, n=n, d_avg=12, d_max=60, max_c=200)
+
+
+@lru_cache(maxsize=None)
 def _cases() -> List[Tuple[object, List[int]]]:
-    g, comms = lfr(seed=0)
+    g, comms = _lfr()
     cases = [(g, q) for size in (1, 2, 4)
              for q in query_sets(g, comms, n_sets=2, q_size=size, seed=0)]
     g, _ = karate()
@@ -100,7 +112,7 @@ E11_QUERIES: Dict[int, List[List[int]]] = {
 
 @lru_cache(maxsize=None)
 def _e11_cases(n: int) -> List[Tuple[object, List[int]]]:
-    g, _ = lfr(seed=7, n=n, d_avg=12, d_max=60, max_c=200)
+    g, _ = _lfr(n)
     return [(g, q) for q in E11_QUERIES[n]]
 
 
@@ -124,6 +136,53 @@ def test_golden_e11(name, n):
     assert digest(CONFIGS[name], _e11_cases(n)) == GOLDEN_E11[name, n]
 
 
+def _hash(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def index_digests(n: int) -> Dict[str, str]:
+    """Hashes of the truss index and the query sets on ``_lfr(n)``."""
+    g, comms = _lfr(n)
+    out = {
+        "truss_numbers": _hash(sorted(truss_numbers(g).items())),
+        "node_truss_numbers": _hash(sorted(node_truss_numbers(g).items())),
+    }
+    for size in (1, 2, 4):
+        out[f"query_sets-q{size}"] = _hash(query_sets(g, comms, n_sets=10, q_size=size, seed=0))
+    return out
+
+
+# n -> index_digests(n); n = 0 is the default LFR graph
+GOLDEN_INDEX: Dict[int, Dict[str, str]] = {
+    0: {
+        "truss_numbers": "a3c5a76c2bb520fc",
+        "node_truss_numbers": "d723805fe6cf3a1d",
+        "query_sets-q1": "499190336ca107c4",
+        "query_sets-q2": "eca00982c68ac071",
+        "query_sets-q4": "585da3ba44e64e3d",
+    },
+    2000: {
+        "truss_numbers": "7ef4bd8eec880521",
+        "node_truss_numbers": "eba2f0ffe4587a18",
+        "query_sets-q1": "666992c92785365d",
+        "query_sets-q2": "23ac854d91890e79",
+        "query_sets-q4": "6eeb70906fb187a4",
+    },
+    5000: {
+        "truss_numbers": "98475766f2e18862",
+        "node_truss_numbers": "3821801517809fc4",
+        "query_sets-q1": "ca339ebe1202fbd5",
+        "query_sets-q2": "e1908025b3236be2",
+        "query_sets-q4": "88a4bd1d211c0202",
+    },
+}
+
+
+@pytest.mark.parametrize("n", list(GOLDEN_INDEX))
+def test_golden_index(n):
+    assert index_digests(n) == GOLDEN_INDEX[n]
+
+
 if __name__ == "__main__":
     for name, algo in CONFIGS.items():
         sizes, h = digest(algo)
@@ -132,3 +191,9 @@ if __name__ == "__main__":
     for name, n in GOLDEN_E11:
         sizes, h = digest(CONFIGS[name], _e11_cases(n))
         print(f'    ("{name}", {n}): ({sizes}, "{h}"),')
+    print()
+    for n in GOLDEN_INDEX:
+        print(f"    {n}: {{")
+        for key, h in index_digests(n).items():
+            print(f'        "{key}": "{h}",')
+        print("    },")
