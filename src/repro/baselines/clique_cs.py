@@ -14,12 +14,14 @@ from typing import FrozenSet, Iterable, List, Optional, Set
 
 from ..graphs.local import LocalGraph
 
+# maximal cliques enumerated before giving up (returns None, like max_nodes)
+MAX_CLIQUES = 200_000
+
 
 def clique_cs(
     g: LocalGraph,
     queries: Iterable[int],
     max_nodes: int = 3000,
-    max_cliques: int = 200_000,
 ) -> Optional[Set[int]]:
     found = g.query_component(queries)
     if found is None:
@@ -31,7 +33,7 @@ def clique_cs(
     cliques: List[FrozenSet[int]] = []
     for c in sub.maximal_cliques():
         cliques.append(c)
-        if len(cliques) > max_cliques:
+        if len(cliques) > MAX_CLIQUES:
             return None
     k_hi = max((len(c) for c in cliques), default=0)
     for k in range(k_hi, 1, -1):

@@ -15,6 +15,9 @@ from typing import Dict, Iterable, Optional, Set
 
 from ..graphs.local import LocalGraph
 
+# addition/deletion rounds run at most; the greedy stops earlier at a fixpoint
+MAX_ROUNDS = 50
+
 
 def _local_modularity(l_s: int, ext: int) -> float:
     if ext == 0:
@@ -22,9 +25,7 @@ def _local_modularity(l_s: int, ext: int) -> float:
     return l_s / ext
 
 
-def icwi2008(
-    g: LocalGraph, queries: Iterable[int], max_rounds: int = 50
-) -> Optional[Set[int]]:
+def icwi2008(g: LocalGraph, queries: Iterable[int]) -> Optional[Set[int]]:
     found = g.query_component(queries)
     if found is None:
         return None
@@ -51,7 +52,7 @@ def icwi2008(
 
     recount()
     qset = set(qs)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         # ---- addition phase: best-connected boundary node first
         while True:

@@ -23,6 +23,9 @@ import numpy as np
 
 from ..graphs.local import LocalGraph
 
+# exponent of the internal edge density in generalized modularity density
+GMD_CHI = 1.0
+
 
 # ------------------------------------------------------------- scalar forms
 def classic_modularity(l_c: float, d_c: float, m: float) -> float:
@@ -41,16 +44,14 @@ def density_modularity(l_c: float, d_c: float, size: int, m: float) -> float:
     return (1.0 / (2.0 * size)) * (2.0 * l_c - d_c * d_c / (2.0 * m))
 
 
-def generalized_modularity_density(
-    l_c: float, d_c: float, size: int, m: float, chi: float = 1.0
-) -> float:
+def generalized_modularity_density(l_c: float, d_c: float, size: int, m: float) -> float:
     """Guo et al. [30] style density-weighted modularity of one community:
-    CM(C) · (internal edge density)^chi. Used only as the Figure 12
+    CM(C) · (internal edge density)^GMD_CHI. Used only as the Figure 12
     comparison measure (DESIGN.md §6)."""
     if size < 2:
         return float("-inf")
     dens = 2.0 * l_c / (size * (size - 1))
-    return classic_modularity(l_c, d_c, m) * dens**chi
+    return classic_modularity(l_c, d_c, m) * dens**GMD_CHI
 
 
 def dm_gain(k_vs: float, d_s: float, d_v: float, m: float) -> float:
@@ -88,7 +89,7 @@ def scores_of(
             out[size <= 0] = -np.inf
             return out
         if measure == "gmd":
-            out = cm * (2.0 * l_c / (size * (size - 1))) ** 1.0
+            out = cm * (2.0 * l_c / (size * (size - 1))) ** GMD_CHI
             out[size < 2] = -np.inf
             return out
     raise ValueError(f"unknown measure {measure!r}")

@@ -169,20 +169,11 @@ class PeelState:
             raise AssertionError(f"the removal log gives (l, d, |S|) = {replay}, recomputed {fresh}")
 
     # ------------------------------------------------------------- scoring
-    def dm(self) -> float:
-        return density_modularity(self.l, self.d, len(self.S), self.m)
-
-    def cm(self) -> float:
-        return classic_modularity(self.l, self.d, self.m)
-
-    def gmd(self) -> float:
-        return generalized_modularity_density(self.l, self.d, len(self.S), self.m)
-
     def score(self, measure: str = "dm") -> float:
         if measure == "dm":
-            return self.dm()
+            return density_modularity(self.l, self.d, len(self.S), self.m)
         if measure == "cm":
-            return self.cm()
+            return classic_modularity(self.l, self.d, self.m)
         if measure == "gmd":
-            return self.gmd()
+            return generalized_modularity_density(self.l, self.d, len(self.S), self.m)
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")

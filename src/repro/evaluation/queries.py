@@ -15,6 +15,9 @@ import numpy as np
 from ..graphs.local import LocalGraph
 from ..graphs.localops import node_truss_numbers
 
+# query nodes with at least this truss number are preferred
+TRUSS_MIN = 4
+
 
 def query_sets(
     g: LocalGraph,
@@ -22,13 +25,12 @@ def query_sets(
     n_sets: int = 10,
     q_size: int = 1,
     seed: int = 0,
-    truss_min: int = 4,
     node_truss: Dict[int, int] | None = None,
 ) -> List[List[int]]:
     """Return ``n_sets`` query sets of ``q_size`` nodes each.
 
     Each set is drawn from one ground-truth community; within the
-    community, nodes with truss number >= truss_min are preferred, then
+    community, nodes with truss number >= TRUSS_MIN are preferred, then
     highest-degree nodes. Communities smaller than q_size are skipped.
     """
     rng = np.random.default_rng(seed)
@@ -47,7 +49,7 @@ def query_sets(
         members = sorted(c & set(g.adj))
         if len(members) < q_size:
             members = sorted(c)
-        preferred = [v for v in members if nt.get(v, 2) >= truss_min]
+        preferred = [v for v in members if nt.get(v, 2) >= TRUSS_MIN]
         pool = preferred if len(preferred) >= q_size else members
         # weight by degree so hubs of the community are more likely picks
         w = np.array([max(1, deg.get(v, 1)) for v in pool], dtype=np.float64)

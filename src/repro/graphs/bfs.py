@@ -1,8 +1,11 @@
 """Distributed multi-source BFS over the canonical edge table.
 
-Frontier-expansion with one join per BFS level; the distance table is
-localCheckpoint-ed every few rounds to truncate the growing lineage —
-the standard idiom for iterative DataFrame algorithms.
+Frontier expansion with one join per BFS level. Each level's new
+frontier is materialised once by an eager ``localCheckpoint``, which
+also cuts the lineage, and the stop test reads that checkpoint; the
+distance table with the level added is checkpointed the same way.
+Nothing is cached, so nothing outlives the call: Spark frees the
+checkpoint blocks once the JVM has collected the unreachable frames.
 
 Computes ``dist(v) = min over q in Q`` of the unweighted shortest-path
 distance (§5.6) on the Spark graph. The algorithms take their distance
@@ -19,21 +22,18 @@ from pyspark.sql import functions as F
 
 from .graph import Graph
 
-_CHECKPOINT_EVERY = 2
-
 
 def distances(graph: Graph, sources: Iterable[int]) -> DataFrame:
     """Minimum BFS distance from any source; columns (id, dist).
 
     Unreachable nodes are absent (mirrors ``LocalGraph.bfs_dist``).
     """
-    spark = graph.spark
     src_pdf = pd.DataFrame({"id": pd.Series(sorted(set(int(s) for s in sources)), dtype="int64")})
     if src_pdf.empty:
         raise ValueError("BFS needs at least one source node")
-    dist = spark.createDataFrame(src_pdf).withColumn("dist", F.lit(0)).cache()
-    frontier = dist.select("id").cache()
-    sym = graph.symmetric().cache()
+    dist = graph.spark.createDataFrame(src_pdf).withColumn("dist", F.lit(0))
+    frontier = dist.select("id")
+    sym = graph.symmetric()
     depth = 0
     while True:
         depth += 1
@@ -43,14 +43,9 @@ def distances(graph: Graph, sources: Iterable[int]) -> DataFrame:
             .distinct()
             .join(dist.select("id"), "id", "left_anti")
             .withColumn("dist", F.lit(depth))
+            .localCheckpoint(eager=True)
         )
-        nxt = nxt.cache()
         if nxt.isEmpty():
-            break
-        dist = dist.unionByName(nxt)
-        if depth % _CHECKPOINT_EVERY == 0:
-            dist = dist.localCheckpoint(eager=True)
-        else:
-            dist = dist.cache()
+            return dist
+        dist = dist.unionByName(nxt).localCheckpoint(eager=True)
         frontier = nxt.select("id")
-    return dist

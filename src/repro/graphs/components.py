@@ -3,8 +3,10 @@
 Each node starts labelled with its own id; every round each node takes the
 minimum label in its closed neighbourhood; stop when no label changes.
 Converges in O(diameter) rounds — small-world graphs (the paper's domain,
-§5.2.2) converge in a handful of joins. Every round's labels are
-localCheckpoint-ed, which truncates the lineage.
+§5.2.2) converge in a handful of joins. Each round computes the old and
+the new label side by side in one frame, materialises it once with an
+eager ``localCheckpoint`` (which cuts the lineage) and runs its stop test
+on that checkpoint. Nothing is cached.
 """
 from __future__ import annotations
 
@@ -16,31 +18,20 @@ from .graph import Graph
 
 def connected_components(graph: Graph) -> DataFrame:
     """Component labels, columns (id, component); label = min node id."""
-    labels = graph.nodes().withColumn("component", F.col("id")).cache()
-    sym = graph.symmetric().cache()
+    labels = graph.nodes().withColumn("component", F.col("id"))
+    sym = graph.symmetric()
     while True:
         nbr_min = (
             sym.join(labels.withColumnRenamed("id", "dst"), "dst")
             .groupBy(F.col("src").alias("id"))
             .agg(F.min("component").alias("nbr"))
         )
-        new_labels = (
-            labels.join(nbr_min, "id", "left")
-            .select(
-                "id",
-                F.least(
-                    F.col("component"), F.coalesce(F.col("nbr"), F.col("component"))
-                ).alias("component"),
-            )
+        # every node comes from the edge table, so each has a neighbour
+        step = (
+            labels.join(nbr_min, "id")
+            .select("id", "component", F.least("component", "nbr").alias("new"))
+            .localCheckpoint(eager=True)
         )
-        new_labels = new_labels.localCheckpoint(eager=True)
-        changed = (
-            new_labels.alias("n")
-            .join(labels.alias("o"), "id")
-            .where(F.col("n.component") != F.col("o.component"))
-            .isEmpty()
-        )
-        labels = new_labels
-        if changed:
-            break
-    return labels
+        labels = step.select("id", F.col("new").alias("component"))
+        if step.where(F.col("new") != F.col("component")).isEmpty():
+            return labels

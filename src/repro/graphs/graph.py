@@ -25,7 +25,8 @@ class Graph:
     Construction canonicalizes an arbitrary (src, dst) edge list: casts to
     long, drops self loops, orients each edge ``src < dst``, and
     deduplicates — so parallel and reversed duplicates collapse, matching
-    :class:`LocalGraph` semantics.
+    :class:`LocalGraph` semantics. The table is materialised once, by an
+    eager ``localCheckpoint``; nothing is cached.
     """
 
     def __init__(self, spark: SparkSession, edges: DataFrame, *, _canonical: bool = False):
@@ -38,11 +39,9 @@ class Graph:
                 F.col(edges.columns[1]).cast("long").alias("b"),
             ).where(F.col("a") != F.col("b"))
             self.edges = (
-                e.select(
-                    F.least("a", "b").alias("src"), F.greatest("a", "b").alias("dst")
-                )
+                e.select(F.least("a", "b").alias("src"), F.greatest("a", "b").alias("dst"))
                 .distinct()
-                .cache()
+                .localCheckpoint(eager=True)
             )
         self._num_edges: Optional[int] = None
         self._num_nodes: Optional[int] = None

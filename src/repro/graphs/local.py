@@ -352,10 +352,23 @@ class LocalGraph:
     # ----------------------------------------------- articulation / bridges
     def articulation_points(self) -> Set[int]:
         """Articulation nodes via iterative Tarjan DFS-tree (paper §5.2.1)."""
+        return self._low_link()[0]
+
+    def bridges(self) -> List[Tuple[int, int]]:
+        """Bridge edges, from the same DFS low-link pass."""
+        return self._low_link()[1]
+
+    def _low_link(self) -> Tuple[Set[int], List[Tuple[int, int]]]:
+        """(articulation points, bridges) from one iterative Tarjan DFS.
+
+        The graph is simple, so a tree edge's parent is the one neighbour
+        whose back edge does not count toward ``low``.
+        """
         disc: Dict[int, int] = {}
         low: Dict[int, int] = {}
         parent: Dict[int, int] = {}
         aps: Set[int] = set()
+        bridges: List[Tuple[int, int]] = []
         timer = 0
         for root in self.adj:
             if root in disc:
@@ -389,50 +402,11 @@ class LocalGraph:
                             low[p] = low[v]
                         if p != root and low[v] >= disc[p]:
                             aps.add(p)
+                        if low[v] > disc[p]:
+                            bridges.append((min(p, v), max(p, v)))
             if root_children >= 2:
                 aps.add(root)
-        return aps
-
-    def bridges(self) -> List[Tuple[int, int]]:
-        """Bridge edges via the same iterative DFS low-link computation."""
-        disc: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        parent: Dict[int, int] = {}
-        out: List[Tuple[int, int]] = []
-        timer = 0
-        for root in self.adj:
-            if root in disc:
-                continue
-            disc[root] = low[root] = timer
-            timer += 1
-            stack: List[Tuple[int, Iterator[int]]] = [(root, iter(self.adj[root]))]
-            # a parallel-edge-free graph: skip exactly one tree-parent visit
-            skipped: Set[int] = set()
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for u in it:
-                    if u == parent.get(v) and v not in skipped:
-                        skipped.add(v)
-                        continue
-                    if u not in disc:
-                        parent[u] = v
-                        disc[u] = low[u] = timer
-                        timer += 1
-                        stack.append((u, iter(self.adj[u])))
-                        advanced = True
-                        break
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-                if not advanced:
-                    stack.pop()
-                    p = parent.get(v)
-                    if p is not None:
-                        if low[v] < low[p]:
-                            low[p] = low[v]
-                        if low[v] > disc[p]:
-                            out.append((min(p, v), max(p, v)))
-        return out
+        return aps, bridges
 
     # ----------------------------------------------------------- centrality
     def edge_betweenness(self) -> Dict[Tuple[int, int], float]:

@@ -37,7 +37,7 @@ class TestPeelState:
             assert {u: st.k[u] for u in st.S} == {
                 u: sum(1 for w in g.adj[u] if w in st.S) for u in st.S
             }
-            assert st.dm() == pytest.approx(
+            assert st.score("dm") == pytest.approx(
                 density_modularity(l, d, len(st.S), g.m)
             )
 
@@ -57,9 +57,10 @@ class TestPeelState:
     def test_score_dispatch(self):
         g = LocalGraph.from_edges([(0, 1), (1, 2), (0, 2)])
         st = PeelState(g, {0, 1, 2})
-        assert st.score("dm") == st.dm()
-        assert st.score("cm") == st.cm()
-        assert st.score("gmd") == st.gmd()
+        l, d, size, m = st.l, st.d, len(st.S), g.m
+        assert st.score("dm") == density_modularity(l, d, size, m)
+        assert st.score("cm") == classic_modularity(l, d, m)
+        assert st.score("gmd") == generalized_modularity_density(l, d, size, m)
         with pytest.raises(ValueError):
             st.score("nope")
 
