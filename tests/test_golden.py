@@ -6,7 +6,7 @@ answers are stored as the list of sizes plus a hash of the sorted sets,
 so any change to a returned community fails here. To regenerate after a
 deliberate change of results, run ``PYTHONPATH=src python -m
 tests.test_golden`` and paste its output over ``GOLDEN`` and
-``GOLDEN_E11`` (and ``GOLDEN_INDEX``).
+``GOLDEN_E11`` (and ``GOLDEN_INDEX`` and ``GOLDEN_BASELINES``).
 
 ``GOLDEN_E11`` covers Figure 11's graphs (``lfr(seed=7, n, d_avg=12,
 d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA query
@@ -19,15 +19,20 @@ and sizes that run.
 starts from: the truss index (``truss_numbers``, ``node_truss_numbers``)
 and the query sets drawn with it (``query_sets`` at |Q| = 1, 2 and 4) on
 the default LFR graph and the e11 graphs at n = 2000 and 5000.
+
+``GOLDEN_BASELINES`` locks the eleven ``repro.baselines`` functions, each
+run with its defaults on the same fixed cases; a ``None`` answer (no
+community, or over a node budget) is stored as a size of ``None``.
 """
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro import baselines
 from repro.core import fpa, nca, nca_dr
 from repro.evaluation.datasets import lfr
 from repro.evaluation.queries import query_sets
@@ -69,12 +74,13 @@ def _cases() -> List[Tuple[object, List[int]]]:
     return cases
 
 
-def digest(algo: Callable, cases=None) -> Tuple[Tuple[int, ...], str]:
+def digest(algo: Callable, cases=None) -> Tuple[Tuple[Optional[int], ...], str]:
     """(sizes, hash of the sorted sets) of ``algo`` over ``cases``
-    (default: the fixed cases above)."""
+    (default: the fixed cases above); a ``None`` answer stays ``None``."""
     sets = [algo(g, q) for g, q in (_cases() if cases is None else cases)]
-    text = repr([sorted(s) for s in sets])
-    return tuple(len(s) for s in sets), hashlib.sha256(text.encode()).hexdigest()[:16]
+    text = repr([None if s is None else sorted(s) for s in sets])
+    sizes = tuple(None if s is None else len(s) for s in sets)
+    return sizes, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 GOLDEN: Dict[str, Tuple[Tuple[int, ...], str]] = {
@@ -183,6 +189,28 @@ def test_golden_index(n):
     assert index_digests(n) == GOLDEN_INDEX[n]
 
 
+BASELINES: Dict[str, Callable] = {name: getattr(baselines, name) for name in baselines.__all__}
+
+GOLDEN_BASELINES: Dict[str, Tuple[Tuple[Optional[int], ...], str]] = {
+    "clique_cs": ((5, 9, 673, 673, 673, 673, 6, 4, 25, 6, 60), "a2ce73b6c5c21cb7"),
+    "cnm": ((196, 35, 541, 35, 541, 35, 6, 9, 34, 6, 12), "31125a3c3d773e6c"),
+    "gn": ((None, None, None, None, None, None, 9, 12, 34, 6, 18), "07969a17296807fa"),
+    "kc": ((1000, 1000, 1000, 1000, 1000, 1000, 22, 22, 22, 60, 60), "6d8129b2357f4c4a"),
+    "highcore": ((358, 593, 593, 358, 593, 358, 10, 10, 10, 60, 60), "f64364adb933d2f2"),
+    "kt": ((7, 40, 7, 40, 7, 40, 6, 6, None, 6, None), "78264911b457b084"),
+    "hightruss": ((7, 40, 7, 40, 7, 40, 6, 6, 32, 6, 60), "324595ae534a68c8"),
+    "huang2015": ((5, 4, 7, 10, 7, 15, 6, 6, 29, 6, 13), "407da3e719fe0c71"),
+    "kecc_cs": ((1000, 1000, 1000, 1000, 1000, 1000, 22, 22, 22, 6, None), "077e780f7abf976f"),
+    "icwi2008": ((15, 44, 15, 10, 15, 44, 29, 10, 29, 7, 8), "3a3159e221036d6f"),
+    "wu2015": ((276, 23, 290, 300, 306, 19, 6, 14, 12, 6, 12), "5528654b8cfbb194"),
+}
+
+
+@pytest.mark.parametrize("name", list(BASELINES))
+def test_golden_baselines(name):
+    assert digest(BASELINES[name]) == GOLDEN_BASELINES[name]
+
+
 if __name__ == "__main__":
     for name, algo in CONFIGS.items():
         sizes, h = digest(algo)
@@ -197,3 +225,7 @@ if __name__ == "__main__":
         for key, h in index_digests(n).items():
             print(f'        "{key}": "{h}",')
         print("    },")
+    print()
+    for name, algo in BASELINES.items():
+        sizes, h = digest(algo)
+        print(f'    "{name}": ({sizes}, "{h}"),')
