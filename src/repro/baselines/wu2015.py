@@ -2,62 +2,61 @@
 
 Greedy node deletion maximizing query-biased density
 ``rho(S) = l_S / sum_{v in S} pi_v`` with node weights growing with
-query distance, ``pi_v = eta^{-dist(v,Q)}`` (eta = 0.5, the paper's
+query distance, ``pi_v = ETA^{-dist(v,Q)}`` (ETA = 0.5, the paper's
 setting) — a distance-decayed stand-in for [58]'s random-walk proximity
 (DESIGN.md §6). Each step deletes the non-query, non-articulation node
-with the worst local contribution ``k_{v,S} / pi_v``; the incumbent is
-the intermediate subgraph with the best rho. Reproduces the behaviour
+with the worst local contribution ``k_{v,S} / pi_v`` (a ``PeelState``
+peel with NCA's ``best_removable``: no articulation pass); the incumbent
+is the intermediate subgraph with the best rho. Reproduces the behaviour
 the DMCS paper leans on: results hug the query node and degrade when q
 is off-centre.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
+import numpy as np
+
+from ..core.nca import best_removable
+from ..core.peel import PeelState
 from ..graphs.local import LocalGraph
+
+# Every pi is a power of two, so sum(pi) is exact in any summation order
+# while below 2^53 (BFS depth <= 36 at max_nodes): rho is order-free.
+ETA = 0.5
 
 
 def wu2015(
     g: LocalGraph,
     queries: Iterable[int],
-    eta: float = 0.5,
     max_nodes: int = 50_000,
 ) -> Optional[Set[int]]:
-    found = g.query_component(queries)
+    found = g.query_bfs(queries)
     if found is None:
         return None
-    qs, comp = found
-    if len(comp) > max_nodes:
+    qs, order, bounds = found
+    if len(order) > max_nodes:
         return None
-    dist = g.bfs_dist(qs)
-    pi: Dict[int, float] = {v: eta ** (-dist[v]) for v in comp}
-
-    sub = g.subgraph(comp)
-    qset = set(qs)
-    k: Dict[int, int] = {v: len(sub.adj[v]) for v in sub.adj}
-    l_s = sub.m
-    w_s = sum(pi[v] for v in sub.adj)
-
-    def rho(l: float, w: float) -> float:
-        return l / w if w > 0 else float("-inf")
-
-    best = set(sub.adj)
-    best_rho = rho(l_s, w_s)
-    while sub.n > len(qset):
-        arts = sub.articulation_points()
-        cand = [v for v in sub.adj if v not in arts and v not in qset]
-        if not cand:
+    csr = g.csr()
+    qpos = csr.positions(qs)
+    if len(qs) > 1:  # distances from the nearest query node
+        order, bounds = csr.bfs(qpos)
+    state = PeelState(g, csr.ids[order])
+    n, dist = csr.n, csr.levels(order, bounds)
+    pi = ETA ** -dist
+    # min (k/pi, -pi, id) is max (-(k/pi), dist, -position): pi grows with dist
+    tie = dist * n + (n - 1 - np.arange(n))
+    k, alive = state.k_array(), state.S.array()
+    w = pi[order].sum()
+    best_t, best_rho = 0, state.l / w
+    while True:
+        key = -(k / pi)
+        key[~alive] = -np.inf
+        key[qpos] = -np.inf
+        if (u := best_removable(csr, state.S.mask, key, tie)) is None:
             break
-        # worst contribution: few internal edges per unit of weight,
-        # where far nodes (large pi) are cheap to drop
-        u = min(cand, key=lambda v: (k[v] / pi[v], -pi[v], v))
-        l_s -= k[u]
-        w_s -= pi[u]
-        for x in sub.adj[u]:
-            k[x] -= 1
-        k.pop(u)
-        sub.remove_node(u)
-        r = rho(l_s, w_s)
-        if r >= best_rho:
-            best_rho, best = r, set(sub.adj)
-    return best
+        state.remove(u)
+        w -= pi[u]
+        if (rho := state.l / w) >= best_rho:  # a tie keeps the later S
+            best_t, best_rho = len(state.order), rho
+    return state.members(best_t)

@@ -11,12 +11,12 @@ Variants:
   unstable, recomputed over the whole candidate layer each removal.
 * ``measure``       → which goodness function picks the incumbent
   ("dm" | "cm" | "gmd", Figure 12).
-* ``prune=True``    → §5.7 layer-based pruning: score the distance-prefix
-  subgraphs coarsely, jump to the best prefix, then peel inward from its
-  outermost layer. Off by default: the paper's own §6.2.4 reports pruned
-  FPA as less effective, and its headline Figure 8 accuracy is only
-  consistent with the un-pruned variant; Figure 13 is reproduced by
-  jobs/e13_pruning.py with both settings.
+* ``prune=True``    → §5.7 layer-based pruning: score every distance-prefix
+  subgraph in one pass (``prefix_scores``), jump to the best prefix, then
+  peel inward from its outermost layer. Off by default: the paper's own
+  §6.2.4 reports pruned FPA as less effective, and its headline Figure 8
+  accuracy is only consistent with the un-pruned variant; Figure 13 is
+  reproduced by jobs/e13_pruning.py with both settings.
 
 The layer peelers only choose and remove nodes: ``PeelState`` keeps the
 incumbent (Algorithm 1's best S) as a prefix of its removal log, and
@@ -33,7 +33,7 @@ from typing import Iterable, List, Optional, Set
 import numpy as np
 
 from ..graphs.local import LocalGraph
-from .modularity import density_ratio, dm_gain
+from .modularity import density_ratio, dm_gain, scores_of
 from .peel import PeelState
 from .steiner import steiner_connector
 
@@ -65,6 +65,18 @@ def _peel_layer_dmg(state: PeelState, layer: List[int]) -> None:
         state.remove(u)
 
 
+def prefix_scores(g: LocalGraph, order: np.ndarray, bounds: np.ndarray, measure: str) -> np.ndarray:
+    """``measure`` of each prefix P_i = ``order[:bounds[i + 1]]`` of a BFS
+    over a whole component, bit-equal to ``PeelState.score`` on P_i: an
+    edge enters with the higher level of its two ends."""
+    csr = g.csr()
+    lev = csr.levels(order, bounds)
+    enter = np.maximum(lev[np.repeat(order, csr.deg[order])], lev[csr.neighbours(order)])
+    l = np.cumsum(np.bincount(enter, minlength=len(bounds) - 1)) // 2  # both directions
+    d = np.cumsum(csr.deg[order])[bounds[1:] - 1]
+    return scores_of(measure, l, d, bounds[1:], g.m)
+
+
 def fpa(
     g: LocalGraph,
     queries: Iterable[int],
@@ -84,25 +96,15 @@ def fpa(
         seed = steiner_connector(g, qs)  # connected ⊇ Q
         # the seed is inside the component, so its BFS covers the same nodes
         order, bounds = csr.bfs(csr.positions(seed))
+    if prune:
+        # §5.7: start the peel from the best prefix (the smallest i among
+        # ties). The distant layers are never peeled node by node, and the
+        # search space shrinks to that prefix, which is why the paper
+        # reports slightly lower effectiveness than un-pruned FPA (Fig. 13).
+        i_star = int(np.argmax(prefix_scores(g, order, bounds, measure)))
+        order, bounds = order[: bounds[i_star + 1]], bounds[: i_star + 2]
     layers = [x.tolist() for x in np.split(order, bounds[1:-1])]
     state = PeelState(g, csr.ids[order], measure)
-
-    if prune:
-        # §5.7 — score each distance-prefix S_i = {v : dist(v) <= i} by
-        # bulk-removing whole layers (cheap, O(|V|) total), jump to the
-        # best prefix, then run the fine-grained peel inward from that
-        # prefix's outermost layer. The speedup comes from never peeling
-        # the distant layers node-by-node; the search space shrinks to
-        # the chosen prefix, which is why the paper reports slightly
-        # lower effectiveness than un-pruned FPA (Figure 13).
-        scores = {len(layers) - 1: state.score(measure)}
-        for i in range(len(layers) - 1, 0, -1):
-            for v in layers[i]:
-                state.remove(v)
-            scores[i - 1] = state.score(measure)
-        i_star = max(scores, key=lambda i: (scores[i], -i))
-        layers = layers[: i_star + 1]
-        state = PeelState(g, csr.ids[order[: bounds[i_star + 1]]], measure)
 
     peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
     for layer in reversed(layers[1:]):

@@ -98,10 +98,9 @@ def scores_of(
 # ------------------------------------------------- community-on-graph forms
 def community_stats(g: LocalGraph, nodes: Iterable[int]) -> tuple[int, int]:
     """(l_C, d_C) of ``nodes`` against graph ``g`` (original degrees)."""
-    deg = g.degrees()
     ns: Set[int] = set(nodes)
     l_c = g.internal_edges(ns)
-    d_c = sum(deg[v] for v in ns if v in deg)
+    d_c = sum(len(g.adj[v]) for v in ns if v in g.adj)
     return l_c, d_c
 
 

@@ -9,11 +9,11 @@ The paper finds the removable set with a Tarjan DFS-tree pass after
 every removal, O(|V|+|E|) each, and names that pass as NCA's
 bottleneck. Only the argmax over the removable set is needed, so this
 implementation scores every non-query node of S and walks the
-candidates in descending (score, dist, id) order. It removes the first
-one whose removal leaves S connected (``stays_connected``). S is
-connected at every step, so that node is the argmax over the
-non-articulation nodes: the same choice, without the full articulation
-set.
+candidates in descending (score, dist, id) order (``best_removable``).
+It removes the first one whose removal leaves S connected
+(``stays_connected``). S is connected at every step, so that node is
+the argmax over the non-articulation nodes: the same choice, without
+the full articulation set.
 
 ``PeelState`` keeps the incumbent (Algorithm 1's best S) as a prefix of
 its removal log and rebuilds it once at the end. NCA works on CSR
@@ -83,6 +83,19 @@ def stays_connected(csr: CSR, alive: bytearray, u: int) -> bool:
     return False
 
 
+def best_removable(csr: CSR, alive: bytearray, key: np.ndarray, tie: np.ndarray) -> Optional[int]:
+    """The position of largest (``key``, ``tie``), with key > -inf, whose
+    removal leaves S (``alive``, connected) connected, or None; a rejected
+    candidate (an articulation point of S) gets key -inf in place."""
+    while (top := key.max()) > -np.inf:
+        ties = np.flatnonzero(key == top)
+        u = int(ties[np.argmax(tie[ties])])
+        if stays_connected(csr, alive, u):
+            return u
+        key[u] = -np.inf
+    return None
+
+
 def nca(
     g: LocalGraph,
     queries: Iterable[int],
@@ -103,9 +116,7 @@ def nca(
     n = csr.n
     # Positions are in id order, so the key (score, dist, id) becomes
     # (score, dist·n + position).
-    dist = np.zeros(n, dtype=np.int64)
-    dist[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    tie = dist * n + np.arange(n)
+    tie = csr.levels(order, bounds) * n + np.arange(n)
     k, deg, alive = state.k_array(), csr.deg, state.S.array()
 
     t0 = time.monotonic()
@@ -119,13 +130,7 @@ def nca(
             key = np.where(k > 0, deg / np.where(k > 0, k, 1), np.inf)
         key[~alive] = -np.inf
         key[qpos] = -np.inf
-        while (top := key.max()) > -np.inf:
-            ties = np.flatnonzero(key == top)
-            u = int(ties[np.argmax(tie[ties])])
-            if stays_connected(csr, state.S.mask, u):
-                break
-            key[u] = -np.inf  # an articulation point of S: try the next best
-        else:
+        if (u := best_removable(csr, state.S.mask, key, tie)) is None:
             break  # every candidate left is an articulation point
         state.remove(u)
     return state.best()

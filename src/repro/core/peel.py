@@ -141,12 +141,15 @@ class PeelState:
     def best_score(self) -> float:
         return self._scan()[1]
 
-    def best(self) -> Set[int]:
-        """The incumbent's node ids: S plus the removals after the best
-        prefix."""
+    def members(self, t: int) -> Set[int]:
+        """Node ids of S_t, the start set minus the first ``t`` removals."""
         mask = self.S.array().copy()
-        mask[self.order[self._scan()[0]:]] = True
+        mask[self.order[t:]] = True
         return set(self.csr.ids[mask].tolist())
+
+    def best(self) -> Set[int]:
+        """The incumbent's node ids."""
+        return self.members(self._scan()[0])
 
     def check(self) -> None:
         """Recompute ``l_S``, ``d_S``, |S| and every ``k_{v,S}`` from the

@@ -129,6 +129,12 @@ class CSR:
         order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
         return order, bounds
 
+    def levels(self, order: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """BFS level of every position from a :meth:`bfs` result; -1 if unreached."""
+        lev = np.full(self.n, -1, dtype=np.int64)
+        lev[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        return lev
+
 
 class LocalGraph:
     """Undirected simple graph with dynamic adjacency.
@@ -266,8 +272,8 @@ class LocalGraph:
         Unreachable nodes are absent from the result.
         """
         order, bounds = self._bfs(sources)
-        dist = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        return dict(zip(self.csr().ids[order].tolist(), dist.tolist()))
+        csr = self.csr()
+        return dict(zip(csr.ids[order].tolist(), csr.levels(order, bounds)[order].tolist()))
 
     def bfs_layers(self, sources: Iterable[int]) -> List[List[int]]:
         """Nodes grouped by BFS distance; ``layers[i]`` is distance ``i``,

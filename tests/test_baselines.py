@@ -20,7 +20,7 @@ from repro.gendata.lfr import lfr_graph
 from repro.graphs.local import LocalGraph
 from repro.graphs.localops import core_numbers, truss_numbers
 
-from .util import GNP_CASES, random_local_graph, to_nx
+from .util import GNP_CASES, equivalence_cases, random_local_graph, to_nx
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +269,56 @@ class TestLuo:
         )
         r = icwi2008(g, [1])
         assert {0, 1, 2} <= r
+
+
+def wu2015_reference(g, queries, eta=0.5, max_nodes=50_000):
+    """wu2015 as first written: it peels its own copy of the component,
+    with a full Tarjan pass after every removal."""
+    found = g.query_component(queries)
+    if found is None:
+        return None
+    qs, comp = found
+    if len(comp) > max_nodes:
+        return None
+    dist = g.bfs_dist(qs)
+    pi = {v: eta ** (-dist[v]) for v in comp}
+
+    sub = g.subgraph(comp)
+    qset = set(qs)
+    k = {v: len(sub.adj[v]) for v in sub.adj}
+    l_s = sub.m
+    w_s = sum(pi[v] for v in sub.adj)
+
+    def rho(l, w):
+        return l / w if w > 0 else float("-inf")
+
+    best = set(sub.adj)
+    best_rho = rho(l_s, w_s)
+    while sub.n > len(qset):
+        arts = sub.articulation_points()
+        cand = [v for v in sub.adj if v not in arts and v not in qset]
+        if not cand:
+            break
+        u = min(cand, key=lambda v: (k[v] / pi[v], -pi[v], v))
+        l_s -= k[u]
+        w_s -= pi[u]
+        for x in sub.adj[u]:
+            k[x] -= 1
+        k.pop(u)
+        sub.remove_node(u)
+        r = rho(l_s, w_s)
+        if r >= best_rho:
+            best_rho, best = r, set(sub.adj)
+    return best
+
+
+EQUIVALENCE_CASES = equivalence_cases()
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES, ids=[c[0] for c in EQUIVALENCE_CASES])
+def test_wu2015_matches_reference(case):
+    _, g, q = case
+    assert wu2015(g, q) == wu2015_reference(g, q)
 
 
 class TestWu2015:

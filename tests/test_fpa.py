@@ -1,14 +1,18 @@
 """FPA invariants and behaviours (Algorithm 2, §5.5-§5.7)."""
+import numpy as np
 import pytest
 
 from repro.core import dm_of, fpa
+from repro.core.fpa import prefix_scores
+from repro.core.peel import PeelState
+from repro.core.steiner import steiner_connector
 from repro.evaluation.datasets import lfr, overlapping
 from repro.evaluation.metrics import score_against_best_truth
 from repro.evaluation.queries import query_sets
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
 
-from .util import GNP_CASES, random_local_graph
+from .util import GNP_CASES, equivalence_cases, random_local_graph
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,51 @@ class TestLayerSafety:
             pytest.skip("single layer")
         rest = set(comp) - set(layers[-1])
         assert g.subgraph(rest).is_connected()
+
+
+def _seed(g, queries):
+    """FPA's start set: Q itself, or its Steiner connector when |Q| > 1."""
+    qs = sorted(set(queries))
+    return steiner_connector(g, qs) if len(qs) > 1 else qs
+
+
+def prefix_scores_reference(g, queries, measure):
+    """§5.7's prefix scores by peeling: one ``PeelState`` over the
+    component, whole BFS layers removed from the outside in, each prefix
+    P_i scored with ``PeelState.score``. Returns the scores by i and the
+    best i, the smallest among ties."""
+    layers = g.bfs_layers(_seed(g, queries))
+    state = PeelState(g, [v for layer in layers for v in layer], measure)
+    scores = [state.score(measure)]
+    for layer in reversed(layers[1:]):
+        for p in state.csr.positions(layer).tolist():
+            state.remove(p)
+        scores.append(state.score(measure))
+    scores.reverse()
+    return scores, max(range(len(scores)), key=lambda i: (scores[i], -i))
+
+
+EQUIVALENCE_CASES = equivalence_cases()
+
+
+@pytest.mark.parametrize("measure", ["dm", "cm", "gmd"])
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES, ids=[c[0] for c in EQUIVALENCE_CASES])
+def test_prefix_scores_match_layer_removal(case, measure):
+    _, g, q = case
+    want, want_i = prefix_scores_reference(g, q, measure)
+    csr = g.csr()
+    order, bounds = csr.bfs(csr.positions(_seed(g, q)))
+    got = prefix_scores(g, order, bounds, measure)
+    assert got.tolist() == want  # bit-equal, -inf included
+    assert int(np.argmax(got)) == want_i
+
+
+def test_prune_tie_takes_the_smaller_prefix():
+    # from node 1 of a ring of four triangles, CM peaks at both P_1 and P_3
+    g, _ = ring_of_cliques(4, 3)
+    csr = g.csr()
+    order, bounds = csr.bfs(csr.positions([1]))
+    scores = prefix_scores(g, order, bounds, "cm")
+    assert scores[1] == scores[3] == scores.max()
+    inner = {v for v, d in g.bfs_dist([1]).items() if d <= 1}
+    assert fpa(g, [1], prune=True, measure="cm") <= inner

@@ -10,51 +10,36 @@ from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
 from repro.graphs.local import LocalGraph
 
-from .util import GNP_CASES, random_local_graph
+from .util import GNP_CASES, equivalence_cases, random_local_graph
 
 
 def nca_reference(g, queries, *, scorer="dmg", measure="dm"):
     """NCA as the paper states it: a full Tarjan pass over the current
     subgraph after every removal, then the max-(score, dist, id) node
-    among the non-articulation, non-query nodes."""
+    among the non-articulation, non-query nodes. ``PeelState`` works on
+    CSR positions; the pass, Q, the distances and the answer are on ids."""
     qs = sorted(set(queries))
     comp = g.connected_component(qs[0])
     dist = g.bfs_dist(qs)
     state = PeelState(g, comp)
+    ids = state.csr.ids.tolist()
     best, best_score = set(comp), state.score(measure)
     while True:
-        arts = g.subgraph(state.S).articulation_points()
-        cand = [v for v in state.S if v not in arts and v not in qs]
+        arts = g.subgraph(ids[p] for p in state.S).articulation_points()
+        cand = [p for p in state.S if ids[p] not in arts and ids[p] not in qs]
         if not cand:
             return best
         if scorer == "dmg":
-            score = lambda v: dm_gain(state.k[v], state.d, state.deg[v], state.m)
+            score = lambda p: dm_gain(state.k[p], state.d, state.deg[p], state.m)
         else:
-            score = lambda v: density_ratio(state.deg[v], state.k[v])
-        state.remove(max(cand, key=lambda v: (score(v), dist.get(v, 0), v)))
+            score = lambda p: density_ratio(state.deg[p], state.k[p])
+        state.remove(max(cand, key=lambda p: (score(p), dist.get(ids[p], 0), ids[p])))
         s = state.score(measure)
         if s >= best_score:
-            best_score, best = s, set(state.S)
+            best_score, best = s, {ids[p] for p in state.S}
 
 
-def _equivalence_cases():
-    """(name, graph, query set) over karate, the GNP graphs, the ring of
-    cliques and a small LFR graph with |Q| = 1, 2 and 4."""
-    g, _ = karate()
-    cases = [(f"karate-{q}", g, q) for q in ([0], [16], [33], [0, 33])]
-    for n, p, seed in GNP_CASES:
-        g = random_local_graph(n, p, seed)
-        cases.append((f"gnp-{n}-{seed}", g, [min(max(g.connected_components(), key=len))]))
-    g, _ = ring_of_cliques(10, 6)
-    cases.append(("ring", g, [0]))
-    g, _ = lfr_graph(n=150, d_avg=10, d_max=25, mu=0.3, min_c=10, max_c=40, seed=3)
-    comp = sorted(max(g.connected_components(), key=len))
-    for size in (1, 2, 4):
-        cases.append((f"lfr-q{size}", g, comp[:: len(comp) // size][:size]))
-    return cases
-
-
-EQUIVALENCE_CASES = _equivalence_cases()
+EQUIVALENCE_CASES = equivalence_cases()
 
 
 @pytest.mark.parametrize("scorer,measure", [("dmg", "dm"), ("ratio", "dm"), ("dmg", "cm")])
