@@ -9,11 +9,10 @@ tests.test_golden`` and paste its output over ``GOLDEN`` and
 ``GOLDEN_E11`` (and ``GOLDEN_INDEX`` and ``GOLDEN_BASELINES``).
 
 ``GOLDEN_E11`` covers Figure 11's graphs (``lfr(seed=7, n, d_avg=12,
-d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA query
-peels up to 20K nodes. The slow configurations run on n = 2000 only:
-un-pruned FPA-DMG rescans its whole candidate layer per removal, and NCA
-rescores all of S. The keys of ``GOLDEN_E11`` are the configurations
-and sizes that run.
+d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA or
+NCA query peels up to 20K nodes. Un-pruned FPA-DMG rescans its whole
+candidate layer per removal, so it runs on n = 2000 only. The keys of
+``GOLDEN_E11`` are the configurations and sizes that run.
 
 ``GOLDEN_INDEX`` locks what every query above and every benchmark answer
 starts from: the truss index (``truss_numbers``, ``node_truss_numbers``)
@@ -134,6 +133,9 @@ GOLDEN_E11: Dict[Tuple[str, int], Tuple[Tuple[int, ...], str]] = {
     ("fpa-dmg-dm-prune", 5000): ((8, 11), "75422c3c3e29101f"),
     ("fpa-dmg-dm-prune", 20000): ((7, 11), "9c836261a6555dcd"),
     ("nca", 2000): ((40, 41, 86), "caf434b588784461"),
+    ("nca", 5000): ((112, 53), "39b11538e86a1082"),
+    ("nca-dr", 5000): ((105, 115), "0e865e9202581ed4"),
+    ("nca", 20000): ((169, 60), "b98f48d240b8e869"),
 }
 
 
