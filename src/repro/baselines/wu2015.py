@@ -6,8 +6,9 @@ query distance, ``pi_v = ETA^{-dist(v,Q)}`` (ETA = 0.5, the paper's
 setting) — a distance-decayed stand-in for [58]'s random-walk proximity
 (DESIGN.md §6). Each step deletes the non-query, non-articulation node
 with the worst local contribution ``k_{v,S} / pi_v`` (a ``PeelState``
-peel with NCA's ``best_removable``: no articulation pass); the incumbent
-is the intermediate subgraph with the best rho. Reproduces the behaviour
+peel with NCA's ``RemovalQueue``, its classes the query distances: no
+articulation pass); the incumbent is the intermediate subgraph with the
+best rho. Reproduces the behaviour
 the DMCS paper leans on: results hug the query node and degrade when q
 is off-centre.
 """
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Set
 
 import numpy as np
 
-from ..core.nca import best_removable
+from ..core.nca import RemovalQueue
 from ..core.peel import PeelState
 from ..graphs.local import LocalGraph
 
@@ -39,6 +40,7 @@ def wu2015(
         return None
     csr = g.csr()
     qpos = csr.positions(qs)
+    lev = csr.levels(order, bounds)  # from qs[0], over the component
     if len(qs) > 1:  # distances from the nearest query node
         order, bounds = csr.bfs(qpos)
     state = PeelState(g, csr.ids[order])
@@ -46,16 +48,12 @@ def wu2015(
     pi = ETA ** -dist
     # min (k/pi, -pi, id) is max (-(k/pi), dist, -position): pi grows with dist
     tie = dist * n + (n - 1 - np.arange(n))
-    k, alive = state.k_array(), state.S.array()
+    queue = RemovalQueue(state, qpos, dist, tie, lev)
+    pi_of_class = ETA ** -queue.cval
     w = pi[order].sum()
     best_t, best_rho = 0, state.l / w
-    while True:
-        key = -(k / pi)
-        key[~alive] = -np.inf
-        key[qpos] = -np.inf
-        if (u := best_removable(csr, state.S.mask, key, tie)) is None:
-            break
-        state.remove(u)
+    while (u := queue.best(lambda k: -(k / pi_of_class))) is not None:
+        queue.remove(u)
         w -= pi[u]
         if (rho := state.l / w) >= best_rho:  # a tie keeps the later S
             best_t, best_rho = len(state.order), rho

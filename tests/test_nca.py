@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import dm_of, nca, nca_dr
 from repro.core.modularity import density_ratio, dm_gain
-from repro.core.nca import stays_connected
+from repro.core.nca import nca_queue, stays_connected
 from repro.core.peel import PeelState
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
@@ -105,6 +105,83 @@ class TestStaysConnected:
         assert _stays(g, {0}, 0)
         assert _stays(g, {0, 1}, 0)
         assert not _stays(g, {0, 1, 2}, 1)
+
+
+def _check_queue(g, state, queue, root):
+    """The queue's certificate and cache state against fresh
+    recomputations on the induced S: ``lev`` is the BFS level from
+    ``root``, ``pc`` the count of neighbours one level down, and every
+    parked node an articulation point."""
+    ids = state.csr.ids.tolist()
+    members = [ids[p] for p in state.S]
+    sub = g.subgraph(members)
+    dist = sub.bfs_dist([root])
+    assert len(dist) == len(members)  # S is connected
+    for p in state.S:
+        v = ids[p]
+        assert queue.lev[p] == dist[v], f"lev of {v}"
+        fresh = sum(dist[x] == dist[v] - 1 for x in sub.adj[v])
+        assert queue.pc[p] == fresh, f"pc of {v}"
+    arts = sub.articulation_points()
+    parked = {ids[p] for p in state.S if queue.parked[p]}
+    assert parked <= arts, f"parked but not cutting S: {sorted(parked - arts)}"
+
+
+def _queue_cases():
+    cases = [(name, g, q) for name, g, q in equivalence_cases()]
+    for n, p, seed in GNP_CASES:
+        g = random_local_graph(n, p, seed)
+        cases.append((f"gnp-{n}-{seed}-max", g, [max(max(g.connected_components(), key=len))]))
+    for seed in range(8):
+        g = _bridged_graph(seed)
+        cases.append((f"bridged-{seed}", g, [min(g.adj)]))
+        cases.append((f"bridged-{seed}-pendant", g, [max(g.adj)]))
+    return cases
+
+
+QUEUE_CASES = _queue_cases()
+
+
+@pytest.mark.parametrize("scorer", ["dmg", "ratio"])
+@pytest.mark.parametrize("case", QUEUE_CASES, ids=[c[0] for c in QUEUE_CASES])
+def test_queue_state_after_every_removal(case, scorer):
+    _, g, q = case
+    state, queue, score = nca_queue(g, q, scorer)
+    root = min(q)
+    _check_queue(g, state, queue, root)
+    certified = 0
+    while (u := queue.best(score)) is not None:
+        if queue.certified(u):
+            certified += 1
+            assert stays_connected(state.csr, state.S.mask, u)
+        queue.remove(u)
+        _check_queue(g, state, queue, root)
+    assert len(state.order) == 0 or certified > 0
+
+
+class TestCertificate:
+    def _queue(self, edges, q):
+        g = LocalGraph.from_edges(edges)
+        return nca_queue(g, [q])[1]
+
+    def test_second_parent_certifies(self):
+        # 0-1-2-3-0 from 0: node 2 has parents 1 and 3
+        queue = self._queue([(0, 1), (1, 2), (2, 3), (3, 0)], 0)
+        assert queue.lev == [0, 1, 2, 1] and queue.pc == [0, 1, 2, 1]
+        assert queue.certified(1) and queue.certified(3) and queue.certified(2)
+
+    def test_only_parent_is_not_certified(self):
+        # the path 0-1-2 and a triangle 0-3-4: 2's only parent is 1
+        queue = self._queue([(0, 1), (1, 2), (0, 3), (3, 4), (4, 0)], 0)
+        assert not queue.certified(1)
+        assert queue.certified(2) and queue.certified(3) and queue.certified(4)
+
+    def test_orphan_moves_down_a_level(self):
+        # removing 1 from 0-1-3, 0-2-4, 3-4 leaves 3 under 4 at level 3
+        queue = self._queue([(0, 1), (1, 3), (0, 2), (2, 4), (3, 4)], 0)
+        assert queue.lev == [0, 1, 1, 2, 2]
+        queue.remove(1)
+        assert queue.lev[3] == 3 and queue.pc[3] == 1 and queue.pc[4] == 1
 
 
 class TestInvariants:
