@@ -125,7 +125,7 @@ class RemovalQueue:
     """
 
     __slots__ = ("state", "n", "cid", "cval", "heaps", "byrank", "rank",
-                 "topk", "toprank", "empty", "movable", "parked", "lev", "pc")
+                 "topk", "toprank", "empty", "parked", "lev", "pc")
 
     def __init__(self, state: PeelState, fixed: np.ndarray, cls: np.ndarray,
                  tie: np.ndarray, lev: np.ndarray) -> None:
@@ -135,7 +135,6 @@ class RemovalQueue:
         alive = state.S.array()
         movable = alive.copy()
         movable[fixed] = False
-        self.movable = bytearray(movable.tobytes())
         self.parked = bytearray(n)
         # a heap entry is k·n + rank, rank 0 being the largest tie
         byrank = np.argsort(-tie, kind="stable")
@@ -144,7 +143,7 @@ class RemovalQueue:
         self.byrank, self.rank = byrank.tolist(), rank.tolist()
         cand = np.flatnonzero(movable)
         self.cval, cid = np.unique(cls[cand], return_inverse=True)
-        full = np.full(n, -1, dtype=np.int64)
+        full = np.full(n, -1, dtype=np.int64)  # -1: never a candidate
         full[cand] = cid
         self.cid = full.tolist()
         ent = state.k_array()[cand] * n + rank[cand]
@@ -193,12 +192,12 @@ class RemovalQueue:
         """Remove ``u``, a node :meth:`best` returned, from S."""
         changed = self.state.remove(u)
         k, n, cid, heaps = self.state.k, self.n, self.cid, self.heaps
-        movable, parked, rank = self.movable, self.parked, self.rank
+        parked, rank = self.parked, self.rank
         if len(changed) == 1 and parked[changed[0]]:
             parked[changed[0]] = 0  # u was its pendant neighbour
         for w in changed:
-            if movable[w] and not parked[w]:
-                c, e = cid[w], k[w] * n + rank[w]
+            if (c := cid[w]) >= 0 and not parked[w]:
+                e = k[w] * n + rank[w]
                 heapq.heappush(heaps[c], e)
                 if heaps[c][0] == e:
                     self.topk[c], self.toprank[c], self.empty[c] = k[w], rank[w], False
