@@ -8,9 +8,8 @@ setting) — a distance-decayed stand-in for [58]'s random-walk proximity
 with the worst local contribution ``k_{v,S} / pi_v`` (a ``PeelState``
 peel with NCA's ``RemovalQueue``, its classes the query distances: no
 articulation pass); the incumbent is the intermediate subgraph with the
-best rho. Reproduces the behaviour
-the DMCS paper leans on: results hug the query node and degrade when q
-is off-centre.
+best rho. Reproduces the behaviour the DMCS paper leans on: results hug
+the query node and degrade when q is off-centre.
 """
 from __future__ import annotations
 
@@ -50,9 +49,10 @@ def wu2015(
     tie = dist * n + (n - 1 - np.arange(n))
     queue = RemovalQueue(state, qpos, dist, tie, lev)
     pi_of_class = ETA ** -queue.cval
+    score = lambda k: -(k / pi_of_class)
     w = pi[order].sum()
     best_t, best_rho = 0, state.l / w
-    while (u := queue.best(lambda k: -(k / pi_of_class))) is not None:
+    while (u := queue.best(score)) is not None:
         queue.remove(u)
         w -= pi[u]
         if (rho := state.l / w) >= best_rho:  # a tie keeps the later S

@@ -102,16 +102,6 @@ def stays_connected(csr: CSR, alive: bytearray, u: int) -> bool:
     return False
 
 
-def parent_counts(csr: CSR, alive: np.ndarray, lev: np.ndarray) -> np.ndarray:
-    """For every position w in S (``alive``), its neighbours in S at
-    level ``lev[w] - 1``; 0 outside S."""
-    rows = np.flatnonzero(alive)
-    own = np.repeat(rows, csr.deg[rows])
-    nb = csr.neighbours(rows)
-    up = alive[nb] & (lev[nb] == lev[own] - 1)
-    return np.bincount(own[up], minlength=csr.n)
-
-
 class RemovalQueue:
     """The removable nodes of a connected ``PeelState`` S, best first.
 
@@ -119,9 +109,9 @@ class RemovalQueue:
     BFS levels ``lev`` (levels from it over S, -1 elsewhere). Candidates
     are grouped by their ``cls`` value, which must not change, and each
     class is ordered by (k_{v,S}, then the largest ``tie``); ``tie`` is
-    distinct per position. :meth:`best` takes a score of the class
-    values (:attr:`cval`) and the k of each class top; the score must
-    fall as k grows within a class.
+    distinct per position. :meth:`best` takes a score of the k of each
+    class top, in the order of the class values :attr:`cval`; the score
+    must fall as k grows within a class.
     """
 
     __slots__ = ("state", "n", "cid", "cval", "heaps", "byrank", "rank",
@@ -154,7 +144,12 @@ class RemovalQueue:
         self.topk, self.toprank = top // n, top % n
         self.empty = np.zeros(len(self.heaps), dtype=bool)
         self.lev = lev.tolist()
-        self.pc = parent_counts(csr, alive, lev).tolist()
+        # pc[w]: w's neighbours in S one level down (0 outside S)
+        rows = np.flatnonzero(alive)
+        own = np.repeat(rows, csr.deg[rows])
+        nb = csr.neighbours(rows)
+        up = alive[nb] & (lev[nb] == lev[own] - 1)
+        self.pc = np.bincount(own[up], minlength=n).tolist()
 
     def best(self, score: Callable[[np.ndarray], np.ndarray]) -> Optional[int]:
         """The best candidate whose removal leaves S connected, or None;
@@ -221,9 +216,11 @@ class RemovalQueue:
 
     def _relevel(self, u: int, changed: List[int]) -> None:
         """Repair ``lev`` and ``pc`` after u left: a node with no parent
-        left moves one level down, until every node has one."""
+        left moves one level down, until every node has one. A level
+        of |S| or more means u cut S."""
         csr, alive, lev, pc = self.state.csr, self.state.S.mask, self.lev, self.pc
         ptr, nbr = csr.py_indptr, csr.py_indices
+        size = self.state.S.size
         below = lev[u] + 1
         orphans = []
         for w in changed:
@@ -234,6 +231,8 @@ class RemovalQueue:
         while orphans:
             w = orphans.pop()
             old = lev[w]
+            if old + 1 >= size:
+                raise ValueError(f"removing position {u} disconnected S")
             lev[w] = old + 1
             count = 0
             for x in nbr[ptr[w]:ptr[w + 1]]:

@@ -128,7 +128,7 @@ def _check_queue(g, state, queue, root):
 
 
 def _queue_cases():
-    cases = [(name, g, q) for name, g, q in equivalence_cases()]
+    cases = equivalence_cases()
     for n, p, seed in GNP_CASES:
         g = random_local_graph(n, p, seed)
         cases.append((f"gnp-{n}-{seed}-max", g, [max(max(g.connected_components(), key=len))]))
@@ -182,6 +182,11 @@ class TestCertificate:
         assert queue.lev == [0, 1, 1, 2, 2]
         queue.remove(1)
         assert queue.lev[3] == 3 and queue.pc[3] == 1 and queue.pc[4] == 1
+
+    def test_cut_removal_raises(self):
+        queue = self._queue([(0, 1), (1, 2), (2, 3)], 0)
+        with pytest.raises(ValueError, match="disconnected"):
+            queue.remove(1)
 
 
 class TestInvariants:
