@@ -18,63 +18,221 @@ Variants:
   accuracy is only consistent with the un-pruned variant; Figure 13 is
   reproduced by jobs/e13_pruning.py with both settings.
 
-The layer peelers only choose and remove nodes: ``PeelState`` keeps the
-incumbent (Algorithm 1's best S) as a prefix of its removal log, and
-every path returns ``state.best()``. They work on CSR positions
-(``LocalGraph.csr``) and read ``PeelState``'s flat arrays; positions are
-in id order, so every tie breaks as it would on ids. For |Q| = 1 one
-CSR BFS from q gives both the component and the layers.
+**Layers are independent.** Algorithm 2 drains layer L, then L−1, and so
+on. Layer j is always drained from S = P_j (layers 0..j: the farther ones
+are gone) and only its own nodes leave, so Θ, Λ and k_{v,S} of its nodes
+depend on P_j and on which of them have left, not on how the other
+layers were peeled. Its removal order, and the sets it visits (P_j minus
+each prefix of that order), are therefore fixed, and every P_i is
+visited. So the layers are peeled inner-first (j = 1, 2, ...), each from
+k_v = e(v, P_j), and the answer is the best set visited, a tie going to
+the smaller set: the set Algorithm 2's outer-first peel returns.
+
+**Exact layer skipping.** The order lets a layer be skipped without
+changing the answer. LB is the best score visited so far: that of every
+boundary P_i (``prefix_scores``) and of every set of the inner layers.
+Every set that layer j still visits is I ∪ T with I = P_{j−1} and T ⊆ U,
+the layer's nodes still in S, so its DM is at most
+``dm_upper_bound`` (DESIGN.md §6):
+
+    UB = max over t ≥ 1 of (N₀ + the sum of the t largest w_v) / (|I| + t),
+    N₀ = l_I − d_I²/4m,   w_v = e(v,I) + e(v,U)/2 − (2·d_I·d_v + d_v²)/4m.
+
+A layer is bounded when it starts and again each time the count of its
+remaining nodes halves (while two or more are left), and its rest is
+dropped once UB is below LB by more than a rounding margin. CM and GMD have no bound (UB = +∞), so
+every layer is peeled in full for them.
+
+The peel works on CSR positions (``LocalGraph.csr``); positions are in
+id order, so every tie breaks as it would on ids. For |Q| = 1 one CSR
+BFS from q gives both the component and the layers.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Set
+from array import array
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..graphs.local import LocalGraph
-from .modularity import density_ratio, dm_gain, scores_of
-from .peel import PeelState
+from ..graphs.local import CSR, LocalGraph
+from .modularity import dm_gain, scores_of
 from .steiner import steiner_connector
 
-
-def _peel_layer_ratio(state: PeelState, layer: List[int]) -> None:
-    """Drain one layer in max-Θ order with a lazy-deletion heap."""
-    k, deg = state.k, state.deg
-    heap = [(-density_ratio(deg[v], k[v]), k[v], v) for v in layer]
-    heapq.heapify(heap)
-    cand = set(layer)
-    while cand:
-        negt, kv, u = heapq.heappop(heap)
-        if u not in cand or k[u] != kv:
-            continue  # stale entry
-        cand.discard(u)
-        for w in state.remove(u):
-            if w in cand:
-                heapq.heappush(heap, (-density_ratio(deg[w], k[w]), k[w], w))
+# The rest of a layer is dropped only when UB < LB − SKIP_MARGIN·max(|LB|, 1),
+# so float rounding in UB cannot drop a set that ties LB: ties go to the
+# smaller set, which may be the dropped one. The floor of 1 keeps a margin
+# when LB is 0 (the DM of a whole connected graph).
+SKIP_MARGIN = 1e-9
 
 
-def _peel_layer_dmg(state: PeelState, layer: List[int]) -> None:
-    """Drain one layer in max-Λ order; Λ is unstable (Lemma 4) so it is
-    recomputed over all remaining candidates each removal."""
-    k, deg = state.k, state.deg
-    cand = set(layer)
-    while cand:
-        u = max(cand, key=lambda v: (dm_gain(k[v], state.d, deg[v], state.m), v))
-        cand.discard(u)
-        state.remove(u)
+def _prefix_counts(csr: CSR, order: np.ndarray, bounds: np.ndarray):
+    """From a BFS (``order``, ``bounds``) over a whole component: l(P_i) and
+    d(P_i) of every prefix P_i (an edge enters the prefixes with the higher
+    level of its two ends), and for each CSR entry of the rows ``order``,
+    row after row, its row and the levels of its two ends."""
+    lev = csr.levels(order, bounds)
+    deg = csr.deg[order]
+    rows = np.repeat(order, deg)
+    own, nbr = lev[rows], lev[csr.neighbours(order)]
+    l = np.cumsum(np.bincount(np.maximum(own, nbr), minlength=len(bounds) - 1)) // 2  # both directions
+    d = np.cumsum(deg)[bounds[1:] - 1]
+    return l, d, rows, own, nbr
 
 
 def prefix_scores(g: LocalGraph, order: np.ndarray, bounds: np.ndarray, measure: str) -> np.ndarray:
     """``measure`` of each prefix P_i = ``order[:bounds[i + 1]]`` of a BFS
-    over a whole component, bit-equal to ``PeelState.score`` on P_i: an
-    edge enters with the higher level of its two ends."""
-    csr = g.csr()
-    lev = csr.levels(order, bounds)
-    enter = np.maximum(lev[np.repeat(order, csr.deg[order])], lev[csr.neighbours(order)])
-    l = np.cumsum(np.bincount(enter, minlength=len(bounds) - 1)) // 2  # both directions
-    d = np.cumsum(csr.deg[order])[bounds[1:] - 1]
+    over a whole component, bit-equal to ``PeelState.score`` on P_i."""
+    l, d, _, _, _ = _prefix_counts(g.csr(), order, bounds)
     return scores_of(measure, l, d, bounds[1:], g.m)
+
+
+def dm_upper_bound(l_in: int, d_in: int, n_in: int, m: int,
+                   k: np.ndarray, e_in: np.ndarray, deg: np.ndarray) -> float:
+    """An upper bound on DM(I ∪ T) over every non-empty T ⊆ U.
+
+    ``l_in``, ``d_in`` and ``n_in`` are l_I, d_I and |I|; ``k``, ``e_in``
+    and ``deg`` hold, for each node v of U, e(v, I ∪ U), e(v, I) and d_v.
+    The bound is the maximum over t of (N₀ + the t largest w_v) / (|I| + t)
+    with N₀ = l_I − d_I²/4m and w_v = e(v,I) + e(v,U)/2 − (2 d_I d_v + d_v²)/4m.
+    """
+    m4 = 4.0 * m
+    w = (k + e_in) / 2 - (2 * d_in * deg + deg * deg) / m4
+    top = np.cumsum(np.sort(w)[::-1])
+    return float(np.max((l_in - d_in * d_in / m4 + top) / np.arange(n_in + 1, n_in + len(w) + 1)))
+
+
+class _Layers:
+    """The layers of one BFS around the seed, each peeled from S = P_j,
+    and the best set they visit.
+
+    ``top`` is the last layer to peel: the farthest one, or i* when pruned.
+    ``k`` holds e(v, P_j) for every node v of layer j ≤ ``top``, and
+    ``e_in`` holds e(v, P_{j−1}); a layer's peel lowers k for the layer's
+    own nodes only. ``left`` marks the nodes of the layer being peeled that
+    are still in S. ``logs[j]`` holds layer j's removals and the k each had
+    when it left. The incumbent ``best`` is (score, size, j, t): P_j minus
+    the first t removals of layer j.
+    """
+
+    def __init__(self, g: LocalGraph, order: np.ndarray, bounds: np.ndarray,
+                 scorer: str, measure: str, prune: bool) -> None:
+        self.csr = csr = g.csr()
+        self.m, self.order, self.bounds = g.m, order, bounds
+        self.scorer, self.measure = scorer, measure
+        l, d, rows, own, nbr = _prefix_counts(csr, order, bounds)
+        self.l, self.d = l.tolist(), d.tolist()
+        scores = scores_of(measure, l, d, bounds[1:], g.m)
+        i = int(np.argmax(scores))  # every P_i is visited; the smallest i among ties
+        self.best = (float(scores[i]), int(bounds[i + 1]), i, 0)
+        # §5.7: pruned FPA starts from the best prefix P_{i*}. The distant
+        # layers are never peeled node by node, and the search space
+        # shrinks to that prefix, which is why the paper reports slightly
+        # lower effectiveness than un-pruned FPA (Fig. 13).
+        self.top = i if prune else len(bounds) - 2
+        inner = slice(0, self.d[self.top])  # the CSR entries of the rows of P_top
+        rows, own, nbr = rows[inner], own[inner], nbr[inner]
+        self.k = array("q", np.bincount(rows[nbr <= own], minlength=csr.n).tobytes())
+        self.e_in = np.bincount(rows[nbr < own], minlength=csr.n)
+        self.left = bytearray(csr.n)
+        self.logs: Dict[int, Tuple[List[int], List[int]]] = {}
+
+    def peel(self, j: int) -> int:
+        """Peel layer j from S = P_j until it is empty or the bound rules
+        out every set left in it; returns the number of removals."""
+        layer = self.order[self.bounds[j]:self.bounds[j + 1]]
+        nodes = layer.tolist()
+        left = np.frombuffer(self.left, dtype=np.bool_)
+        left[layer] = True
+        log, logk = self.logs[j] = ([], [])
+        drain = self._drain_ratio(nodes) if self.scorer == "ratio" else self._drain_dmg(j, nodes)
+        lb = self.best[0]  # the best of every P_i and of the inner layers' sets
+        floor = lb - SKIP_MARGIN * max(abs(lb), 1.0)
+        # Bound the layer when `check` of its nodes are left: at its start,
+        # then each time the count halves. With one node left, every set
+        # still to come is the current S (already visited) or P_{j−1}.
+        remaining = check = len(nodes)
+        while remaining:
+            if remaining == check and check > 1:
+                if self._bound(j, layer) < floor:
+                    break
+                check //= 2
+            u, ku = next(drain)
+            log.append(u)
+            logk.append(ku)
+            remaining -= 1
+        self._offer(j)
+        left[layer] = False
+        return len(log)
+
+    def _drain_ratio(self, nodes: List[int]) -> Iterator[Tuple[int, int]]:
+        """Remove the layer's nodes in max-Θ order (ties: smaller k, then
+        smaller position) with a lazy-deletion heap, yielding each with the
+        k it had. k ≥ e(v, P_{j−1}) ≥ 1, so Θ = d_v / k is finite."""
+        k, deg, left = self.k, self.csr.py_deg, self.left
+        ptr, nbrs = self.csr.py_indptr, self.csr.py_indices
+        heap = [(-deg[v] / k[v], k[v], v) for v in nodes]
+        heapq.heapify(heap)
+        while heap:
+            _, ku, u = heapq.heappop(heap)
+            if not left[u] or k[u] != ku:
+                continue  # stale entry
+            left[u] = 0
+            for w in nbrs[ptr[u]:ptr[u + 1]]:
+                if left[w]:
+                    k[w] -= 1
+                    heapq.heappush(heap, (-deg[w] / k[w], k[w], w))
+            yield u, ku
+
+    def _drain_dmg(self, j: int, nodes: List[int]) -> Iterator[Tuple[int, int]]:
+        """Remove the layer's nodes in max-Λ order (ties: larger position),
+        yielding each with the k it had; Λ is unstable (Lemma 4), so it is
+        recomputed over the whole remaining layer each removal."""
+        k, deg, left, m = self.k, self.csr.py_deg, self.left, self.m
+        ptr, nbrs = self.csr.py_indptr, self.csr.py_indices
+        d = self.d[j]
+        cand = set(nodes)
+        while cand:
+            u = max(cand, key=lambda v: (dm_gain(k[v], d, deg[v], m), v))
+            cand.discard(u)
+            left[u] = 0
+            for w in nbrs[ptr[u]:ptr[u + 1]]:
+                if left[w]:
+                    k[w] -= 1
+            d -= deg[u]
+            yield u, k[u]
+
+    def _offer(self, j: int) -> None:
+        """Score the sets layer j visited after P_j and keep the best."""
+        log, logk = self.logs[j]
+        if not log:
+            return
+        l = self.l[j] - np.cumsum(np.array(logk, dtype=np.int64))
+        d = self.d[j] - np.cumsum(self.csr.deg[log])
+        size = self.bounds[j + 1] - np.arange(1, len(log) + 1)
+        s = scores_of(self.measure, l, d, size, self.m)
+        t = len(s) - int(np.argmax(s[::-1]))  # a tie keeps the later, smaller set
+        score, n = float(s[t - 1]), int(size[t - 1])
+        if score > self.best[0] or (score == self.best[0] and n < self.best[1]):
+            self.best = (score, n, j, t)
+
+    def _bound(self, j: int, layer: np.ndarray) -> float:
+        """UB on the score of every set layer j has left to visit."""
+        if self.measure != "dm":
+            return float("inf")
+        rem = layer[np.frombuffer(self.left, dtype=np.bool_)[layer]]
+        k = np.frombuffer(self.k, dtype=np.int64)[rem]
+        return dm_upper_bound(self.l[j - 1], self.d[j - 1], int(self.bounds[j]), self.m,
+                              k, self.e_in[rem], self.csr.deg[rem])
+
+    def members(self) -> Set[int]:
+        """The incumbent's node ids."""
+        _, _, j, t = self.best
+        mask = np.zeros(self.csr.n, dtype=bool)
+        mask[self.order[: self.bounds[j + 1]]] = True
+        if t:
+            mask[self.logs[j][0][:t]] = False
+        return set(self.csr.ids[mask].tolist())
 
 
 def fpa(
@@ -96,17 +254,7 @@ def fpa(
         seed = steiner_connector(g, qs)  # connected ⊇ Q
         # the seed is inside the component, so its BFS covers the same nodes
         order, bounds = csr.bfs(csr.positions(seed))
-    if prune:
-        # §5.7: start the peel from the best prefix (the smallest i among
-        # ties). The distant layers are never peeled node by node, and the
-        # search space shrinks to that prefix, which is why the paper
-        # reports slightly lower effectiveness than un-pruned FPA (Fig. 13).
-        i_star = int(np.argmax(prefix_scores(g, order, bounds, measure)))
-        order, bounds = order[: bounds[i_star + 1]], bounds[: i_star + 2]
-    layers = [x.tolist() for x in np.split(order, bounds[1:-1])]
-    state = PeelState(g, csr.ids[order], measure)
-
-    peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
-    for layer in reversed(layers[1:]):
-        peel(state, layer)
-    return state.best()
+    layers = _Layers(g, order, bounds, scorer, measure, prune)
+    for j in range(1, layers.top + 1):
+        layers.peel(j)
+    return layers.members()

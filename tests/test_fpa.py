@@ -1,9 +1,14 @@
 """FPA invariants and behaviours (Algorithm 2, §5.5-§5.7)."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import dm_of, fpa
-from repro.core.fpa import prefix_scores
+from repro.core.fpa import _Layers, dm_upper_bound, prefix_scores
+from repro.core.modularity import scores_of
 from repro.core.peel import PeelState
 from repro.core.steiner import steiner_connector
 from repro.evaluation.datasets import lfr, overlapping
@@ -12,7 +17,10 @@ from repro.evaluation.queries import query_sets
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
 
-from .util import GNP_CASES, equivalence_cases, random_local_graph
+from repro.graphs.local import LocalGraph
+
+from .test_golden import E11_QUERIES, _lfr
+from .util import GNP_CASES, equivalence_cases, fpa_reference, fpa_reference_peel, random_local_graph
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +231,157 @@ def test_prune_tie_takes_the_smaller_prefix():
     assert scores[1] == scores[3] == scores.max()
     inner = {v for v, d in g.bfs_dist([1]).items() if d <= 1}
     assert fpa(g, [1], prune=True, measure="cm") <= inner
+
+
+# ------------------------------------------------ the skipping peel is exact
+CONFIGS = list(itertools.product(("ratio", "dmg"), ("dm", "cm", "gmd"), (False, True)))
+CONFIG_IDS = [f"{s}-{m}-{'prune' if p else 'full'}" for s, m, p in CONFIGS]
+
+
+@pytest.mark.parametrize("scorer,measure,prune", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES, ids=[c[0] for c in EQUIVALENCE_CASES])
+def test_matches_reference(case, scorer, measure, prune):
+    _, g, q = case
+    kw = dict(scorer=scorer, measure=measure, prune=prune)
+    assert fpa(g, q, **kw) == fpa_reference(g, q, **kw)
+
+
+@st.composite
+def graph_and_query(draw):
+    """A G(n, p) graph with n ≤ 40 and one or two nodes of its largest
+    component."""
+    n = draw(st.integers(2, 40))
+    g = random_local_graph(n, draw(st.floats(0.05, 0.6)), draw(st.integers(0, 10**6)))
+    comp = sorted(max(g.connected_components(), key=len))
+    size = min(draw(st.integers(1, 2)), len(comp))
+    return g, draw(st.lists(st.sampled_from(comp), min_size=size, max_size=size, unique=True))
+
+
+@given(graph_and_query())
+@settings(max_examples=60, deadline=None)
+def test_matches_reference_on_random_graphs(gq):
+    g, q = gq
+    for scorer, measure, prune in CONFIGS:
+        kw = dict(scorer=scorer, measure=measure, prune=prune)
+        assert fpa(g, q, **kw) == fpa_reference(g, q, **kw), kw
+
+
+def _fresh_k(g, inside, nodes):
+    """e(v, inside) for each node id v of ``nodes``."""
+    return np.array([len(g.adj[v] & inside) for v in nodes], dtype=np.int64)
+
+
+# The bound holds in exact arithmetic; this is how far float rounding may
+# put it below a DM it bounds, far inside the skip margin.
+BOUND_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("scorer", ["ratio", "dmg"])
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES, ids=[c[0] for c in EQUIVALENCE_CASES])
+def test_bound_covers_every_later_set(case, scorer):
+    """On the unskipped reference peel, at every removal point of every
+    layer, ``dm_upper_bound`` over the layer's remaining nodes is at least
+    the DM of every set the layer visits from that point on."""
+    _, g, q = case
+    state, layers = fpa_reference_peel(g, q, scorer=scorer)
+    ids = state.csr.ids
+    removed = ids[state.order].tolist()
+    at = 0
+    for j in range(len(layers) - 1, 0, -1):
+        inner = set(ids[[p for layer in layers[:j] for p in layer]].tolist())
+        seq = removed[at:at + len(layers[j])]
+        at += len(layers[j])
+        l_in, d_in = g.internal_edges(inner), sum(len(g.adj[v]) for v in inner)
+        # DM of S_t = P_{j-1} ∪ seq[t:], t = 0 .. |layer| - 1, and its suffix maximum
+        dms = [dm_of(g, inner | set(seq[t:])) for t in range(len(seq))]
+        later = np.maximum.accumulate(dms[::-1])[::-1]
+        for t in range(len(seq)):
+            rest = seq[t:]
+            ub = dm_upper_bound(l_in, d_in, len(inner), g.m,
+                                _fresh_k(g, inner | set(rest), rest), _fresh_k(g, inner, rest),
+                                np.array([len(g.adj[v]) for v in rest], dtype=np.int64))
+            assert ub >= later[t] - BOUND_ROUNDING * max(abs(later[t]), 1.0), (j, t)
+
+
+def test_tie_inside_a_layer_with_a_larger_prefix():
+    """A 7-cycle beside a 5-cycle (m = 12), queried on the 7-cycle: the
+    3-node path P_1, the 4-node path inside layer 2 and the whole cycle
+    P_3 all have DM 5/12. In floats P_1 rounds below the other two, which
+    tie, so the answer is the 4-node path. Layer 2's bound is 5/12 as well,
+    and it must not drop that path."""
+    g = LocalGraph.from_edges([(i, (i + 1) % 7) for i in range(7)]
+                              + [(7 + i, 7 + (i + 1) % 5) for i in range(5)])
+    csr = g.csr()
+    order, bounds = csr.bfs(csr.positions([0]))
+    scores = prefix_scores(g, order, bounds, "dm")
+    assert scores.argmax() == 3
+    want = fpa_reference(g, [0])
+    assert len(want) == 4 and dm_of(g, want) == scores[3]
+    assert fpa(g, [0]) == want
+
+
+@pytest.mark.parametrize("q", E11_QUERIES[20000], ids=str)
+def test_skips_most_removals_on_e11(q, monkeypatch):
+    """On the 20K-node e11 graph at least 40% of the reference peel's
+    removals are skipped (47% and 75% when this was written)."""
+    g, _ = _lfr(20000)
+    made = []
+    peel = _Layers.peel
+
+    def counted(self, j):
+        made.append(peel(self, j))
+        return made[-1]
+
+    monkeypatch.setattr(_Layers, "peel", counted)
+    fpa(g, q)
+    _, bounds = g.csr().bfs(g.csr().positions(q))
+    total = int(bounds[-1] - bounds[1])  # every node outside layer 0
+    assert sum(made) <= 0.6 * total
+
+
+@pytest.mark.parametrize("scorer,measure,prune", CONFIGS, ids=CONFIG_IDS)
+def test_layer_state_matches_a_fresh_count(scorer, measure, prune, monkeypatch):
+    """After each layer's peel, k of the layer's remaining nodes is
+    e(v, P_{j-1} ∪ U_rem), and the l, d and score of every set it visited,
+    taken from its log, equal a fresh count; the answer's score is the
+    incumbent's."""
+    peel = _Layers.peel
+
+    def checked(self, j):
+        made = peel(self, j)
+        ids, deg = self.csr.ids, self.csr.deg
+        layer = self.order[self.bounds[j]:self.bounds[j + 1]].tolist()
+        log, logk = self.logs[j]
+        assert len(log) == made
+        inner = set(ids[self.order[: self.bounds[j]]].tolist())
+        rest = [p for p in layer if p not in set(log)]
+        got = np.frombuffer(self.k, dtype=np.int64)[rest]
+        assert got.tolist() == _fresh_k(g, inner | set(ids[rest].tolist()), ids[rest]).tolist()
+        l = self.l[j] - np.cumsum(np.array(logk, dtype=np.int64))
+        d = self.d[j] - np.cumsum(deg[log].astype(np.int64))
+        size = self.bounds[j + 1] - np.arange(1, made + 1)
+        fresh_l, fresh_d = [], []
+        for t in range(1, made + 1):
+            members = inner | set(ids[layer].tolist()) - set(ids[log[:t]].tolist())
+            fresh_l.append(g.internal_edges(members))
+            fresh_d.append(sum(len(g.adj[v]) for v in members))
+        assert l.tolist() == fresh_l and d.tolist() == fresh_d
+        fresh = scores_of(measure, np.array(fresh_l, dtype=np.int64),
+                          np.array(fresh_d, dtype=np.int64), size, self.m)
+        assert scores_of(measure, l, d, size, self.m).tolist() == fresh.tolist()
+        return made
+
+    members = _Layers.members
+
+    def checked_members(self):
+        got = members(self)
+        l, d = g.internal_edges(got), sum(len(g.adj[v]) for v in got)
+        fresh = scores_of(measure, np.array([l]), np.array([d]), np.array([len(got)]), self.m)
+        assert self.best[0] == fresh[0]
+        return got
+
+    monkeypatch.setattr(_Layers, "peel", checked)
+    monkeypatch.setattr(_Layers, "members", checked_members)
+    for _, g, q in EQUIVALENCE_CASES:
+        kw = dict(scorer=scorer, measure=measure, prune=prune)
+        assert fpa(g, q, **kw) == fpa_reference(g, q, **kw)

@@ -136,16 +136,45 @@ RUNS = {
 }
 
 
+def _replay_fpa(g, layers, measure):
+    """Replay each layer's removal log of one FPA run (a ``_Layers``) on a
+    fresh state over P_j, with ``check()`` after every step; returns the
+    best set of the replays and of P_0, ties going to the smaller set."""
+    ids = g.csr().ids
+    replays = [_check_after_each_removal(g, ids[layers.order[: layers.bounds[1]]], [], measure)]
+    for j, (log, logk) in sorted(layers.logs.items()):
+        start = ids[layers.order[: layers.bounds[j + 1]]]
+        replay = _check_after_each_removal(g, start, log, measure)
+        assert replay.removed_k == logk  # the k each node had when it left
+        replays.append(replay)
+    best = max(replays, key=lambda st: (st.best_score, -len(st.best())))
+    return best.best()
+
+
 @pytest.mark.parametrize("run", list(RUNS))
 @pytest.mark.parametrize("case", _replay_cases(), ids=lambda c: f"{c[0]}-{len(c[2])}")
 def test_check_replays_removal_logs(case, run, monkeypatch):
-    """Record the PeelStates FPA/NCA make, replay each one's removal log
-    on a fresh state with ``check()`` after every step, and get the same
-    incumbent."""
+    """Record the peels FPA/NCA make, replay each one's removal log on a
+    fresh ``PeelState`` with ``check()`` after every step, and get the
+    same incumbent. NCA peels one ``PeelState``; FPA peels each BFS layer
+    j from P_j (``core/fpa.py`` ``_Layers``), so each layer is replayed
+    from P_j."""
     _, g, q = case
     modname, fn, kw = RUNS[run]
     mod = importlib.import_module(modname)
     made = []
+    if fn == "fpa":
+        init = mod._Layers.__init__
+
+        def recording(self, *a, **k):
+            init(self, *a, **k)
+            made.append(self)
+
+        monkeypatch.setattr(mod._Layers, "__init__", recording)
+        res = mod.fpa(g, q, **kw)
+        assert len(made) == 1
+        assert res == _replay_fpa(g, made[0], kw.get("measure", "dm"))
+        return
 
     class Recording(PeelState):
         def __init__(self, *a, **k):

@@ -1,12 +1,17 @@
-"""Shared test helpers: random graphs, networkx bridging."""
+"""Shared test helpers: random graphs, networkx bridging, reference peels."""
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+import heapq
+from typing import Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
 import pandas as pd
 
+from repro.core.fpa import prefix_scores
+from repro.core.modularity import density_ratio, dm_gain
+from repro.core.peel import PeelState
+from repro.core.steiner import steiner_connector
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
 from repro.graphs.local import LocalGraph
@@ -76,3 +81,64 @@ def edges_pdf(g: LocalGraph) -> pd.DataFrame:
     if not es:
         return pd.DataFrame({"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")})
     return pd.DataFrame(es, columns=["src", "dst"]).astype("int64")
+
+
+# ------------------------------------------------------------ reference FPA
+def _peel_layer_ratio(state: PeelState, layer: List[int]) -> None:
+    """Drain one layer in max-Θ order with a lazy-deletion heap."""
+    k, deg = state.k, state.deg
+    heap = [(-density_ratio(deg[v], k[v]), k[v], v) for v in layer]
+    heapq.heapify(heap)
+    cand = set(layer)
+    while cand:
+        negt, kv, u = heapq.heappop(heap)
+        if u not in cand or k[u] != kv:
+            continue  # stale entry
+        cand.discard(u)
+        for w in state.remove(u):
+            if w in cand:
+                heapq.heappush(heap, (-density_ratio(deg[w], k[w]), k[w], w))
+
+
+def _peel_layer_dmg(state: PeelState, layer: List[int]) -> None:
+    """Drain one layer in max-Λ order; Λ is unstable (Lemma 4) so it is
+    recomputed over all remaining candidates each removal."""
+    k, deg = state.k, state.deg
+    cand = set(layer)
+    while cand:
+        u = max(cand, key=lambda v: (dm_gain(k[v], state.d, deg[v], state.m), v))
+        cand.discard(u)
+        state.remove(u)
+
+
+def fpa_reference_peel(
+    g: LocalGraph, queries: Iterable[int], *, prune: bool = False,
+    scorer: str = "ratio", measure: str = "dm",
+) -> Optional[Tuple[PeelState, List[List[int]]]]:
+    """Algorithm 2 as written: one ``PeelState`` over the whole component
+    (over P_{i*} with ``prune``), every layer drained node by node from the
+    outside in, nothing skipped. Returns the state after the last removal
+    and the layers as CSR positions, or None where ``fpa`` returns None."""
+    found = g.query_bfs(queries)
+    if found is None:
+        return None
+    qs, order, bounds = found
+    csr = g.csr()
+    if len(qs) > 1:
+        order, bounds = csr.bfs(csr.positions(steiner_connector(g, qs)))
+    if prune:
+        i_star = int(np.argmax(prefix_scores(g, order, bounds, measure)))
+        order, bounds = order[: bounds[i_star + 1]], bounds[: i_star + 2]
+    layers = [x.tolist() for x in np.split(order, bounds[1:-1])]
+    state = PeelState(g, csr.ids[order], measure)
+    peel = _peel_layer_ratio if scorer == "ratio" else _peel_layer_dmg
+    for layer in reversed(layers[1:]):
+        peel(state, layer)
+    return state, layers
+
+
+def fpa_reference(g: LocalGraph, queries: Iterable[int], **kw) -> Optional[Set[int]]:
+    """The community of :func:`fpa_reference_peel`: the best set its peel
+    visited, a tie going to the smaller set."""
+    found = fpa_reference_peel(g, queries, **kw)
+    return None if found is None else found[0].best()
