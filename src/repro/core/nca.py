@@ -15,22 +15,37 @@ bottleneck. Only the best removable node is needed, and
   grows. So within one degree class the best node has the least
   k_{v,S}, then the largest (dist, id). Each class keeps a lazy heap on
   that order (k only falls, as in Batagelj–Zaveršnik's core peel), and
-  a step scores only the top of each class with the vector form of the
-  score. Those keys are the values a rescore of all S would give, so
-  every tie breaks as it would there.
-* **Certificate.** ``lev`` is the BFS level from the first query node
-  inside S and ``pc[w]`` counts w's neighbours in S one level down.
-  Removing u keeps S connected when no neighbour one level below u has
-  u as its only parent (``pc == 1``). Both are kept decrementally after
-  each removal: a node left with no parent moves one level down, as in
-  the decremental BFS tree of Even & Shiloach (JACM 1981).
-* **Articulation cache.** A candidate whose removal would cut S is
-  parked. Say v cuts S, and u ≠ v leaves with S − u connected: v still
-  cuts S − u unless {u} was a whole component of S − v, that is, u's
-  one neighbour in S was v. So a parked node returns to its queue only
-  when its one pendant neighbour leaves.
-* **Fallback.** ``stays_connected``, a search over S − u, decides what
-  neither the certificate nor the cache does.
+  a step compares only the top of each class.
+* **Key.** Each class top c has an exact integer key
+  ``slope_c·d_S + icpt_c`` that orders the tops as (score, then the
+  larger tie) does: the score part is an integer that orders the tops
+  as the float score does (Λ itself; ⌊d·D²/k⌋ for Θ), times n, plus
+  n − 1 − rank, rank 0 being the largest tie. Two distinct fractions
+  d/k, d'/k' with k, k' < D differ by at least 1/(k·k') > 1/D², so
+  their scaled floors differ, and equal ones (2/1, 4/2) have equal
+  floors. ``icpt_c`` changes only where the top of c does, so a step is
+  one multiply-add and one argmax over the classes, and keys never tie.
+  The keys are int64 while their bound fits, Python ints otherwise.
+* **Search.** ``lev`` is the BFS level from the first query node inside
+  S and ``pc[w]`` counts w's neighbours in S one level down; both are
+  kept decrementally after each removal (a node left with no parent
+  moves one level down, as in the decremental BFS tree of Even &
+  Shiloach, JACM 1981). u's *critical* children are its neighbours in S
+  one level below with ``pc == 1``. A node is *safe* if it is at level
+  ≤ lev[u] other than u, or at level lev[u]+1 and not critical: each
+  reaches the root in S − u by parent steps, which only go down a level
+  and so never meet u, the second kind through a parent other than u.
+  :meth:`RemovalQueue.removable` searches S − u from each critical child
+  until it meets a safe node or a node an earlier search connected to
+  one. S − u is connected exactly when every search succeeds: any node
+  x of S − u walks its parent chain towards the root, and if the chain
+  meets u, the node before u is a child of u, safe or critical, reached
+  from x without u; conversely, a search that runs out has found a
+  component of S − u without the root, which proves that u cuts S.
+  Such a u is parked. Say v cuts S, and u ≠ v leaves with S − u
+  connected: v still cuts S − u unless {u} was a whole component of
+  S − v, that is, u's one neighbour in S was v. So a parked node
+  returns to its queue only when its one pendant neighbour leaves.
 
 S is connected at every step, so the node removed is the argmax over
 the non-articulation nodes, as in the paper, without the articulation
@@ -47,59 +62,34 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..graphs.local import CSR, LocalGraph
-from .modularity import dm_gain
+from ..graphs.local import LocalGraph
 from .peel import PeelState
 
+# (slope, base): the exact score of a class top with class value v and
+# k_{v,S} = k is slope(v)·d_S + base(v, k), both integers.
+Key = Tuple[Callable[[int], int], Callable[[int, int], int]]
 
-def stays_connected(csr: CSR, alive: bytearray, u: int) -> bool:
-    """Whether S - {u} is connected, given that S is; S is the positions
-    set in ``alive`` and ``u`` one of them.
 
-    A multi-source BFS from u's neighbours in S (skipping u) labels each
-    node with the neighbour that reached it; labels are merged
-    (union-find) where two frontiers meet. Every component of S - {u}
-    holds a neighbour of u, so the set stays connected exactly when one
-    label remains; the search stops as soon as it does.
-    """
-    ptr, nbr = csr.py_indptr, csr.py_indices
-    roots = [w for w in nbr[ptr[u]:ptr[u + 1]] if alive[w]]
-    if len(roots) <= 1:
-        return True
-    parent = list(range(len(roots)))
+def dmg_key(m: int) -> Key:
+    """Λ = 2·d_v·d_S − d_v² − 4m·k_{v,S}, an integer already."""
+    return (lambda d: 2 * d), (lambda d, k: -d * d - 4 * m * k)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    groups = len(roots)
-    label = {w: i for i, w in enumerate(roots)}
-    label[u] = -1
-    frontier = deque(roots)
-    while frontier:
-        v = frontier.popleft()
-        lv = label[v]
-        for w in nbr[ptr[v]:ptr[v + 1]]:
-            lw = label.get(w)
-            if lw is None:
-                if alive[w]:
-                    label[w] = lv
-                    frontier.append(w)
-            elif lw != lv and lw >= 0:
-                a, b = find(lv), find(lw)
-                if a != b:
-                    parent[a] = b
-                    groups -= 1
-                    if groups == 1:
-                        return True
-    return False
+def ratio_key(dmax: int) -> Key:
+    """Θ = d_v/k_{v,S} as ⌊d_v·D²/k⌋ with D = dmax + 1 > k, and Θ = ∞
+    (k = 0) as D³, above every finite value."""
+    D = dmax + 1
+    return (lambda d: 0), (lambda d, k: d * D * D // k if k else D ** 3)
+
+
+def key_dtype(bound: int):
+    """int64 while every key fits in it, those of empty classes (between
+    -3·bound and -bound) too; Python ints (object) otherwise."""
+    return np.int64 if 3 * bound < 2 ** 63 else object
 
 
 class RemovalQueue:
@@ -109,16 +99,15 @@ class RemovalQueue:
     BFS levels ``lev`` (levels from it over S, -1 elsewhere). Candidates
     are grouped by their ``cls`` value, which must not change, and each
     class is ordered by (k_{v,S}, then the largest ``tie``); ``tie`` is
-    distinct per position. :meth:`best` takes a score of the k of each
-    class top, in the order of the class values :attr:`cval`; the score
-    must fall as k grows within a class.
+    distinct per position. ``key`` scores a class top from its class
+    value and k; the score must fall as k grows within a class.
     """
 
-    __slots__ = ("state", "n", "cid", "cval", "heaps", "byrank", "rank",
-                 "topk", "toprank", "empty", "parked", "lev", "pc")
+    __slots__ = ("state", "n", "cid", "value", "base", "heaps", "byrank", "rank",
+                 "toprank", "slope", "icpt", "key", "bound", "parked", "lev", "pc")
 
     def __init__(self, state: PeelState, fixed: np.ndarray, cls: np.ndarray,
-                 tie: np.ndarray, lev: np.ndarray) -> None:
+                 tie: np.ndarray, lev: np.ndarray, key: Key) -> None:
         self.state = state
         csr, n = state.csr, state.csr.n
         self.n = n
@@ -132,17 +121,29 @@ class RemovalQueue:
         rank[byrank] = np.arange(n)
         self.byrank, self.rank = byrank.tolist(), rank.tolist()
         cand = np.flatnonzero(movable)
-        self.cval, cid = np.unique(cls[cand], return_inverse=True)
+        cval, cid = np.unique(cls[cand], return_inverse=True)
         full = np.full(n, -1, dtype=np.int64)  # -1: never a candidate
         full[cand] = cid
         self.cid = full.tolist()
-        ent = state.k_array()[cand] * n + rank[cand]
+        kc = state.k_array()[cand]
+        ent = kc * n + rank[cand]
         srt = np.lexsort((ent, cid))  # a sorted list is a heap
-        cuts = np.searchsorted(cid[srt], np.arange(1, len(self.cval)))
+        cuts = np.searchsorted(cid[srt], np.arange(1, len(cval)))
         self.heaps: List[List[int]] = [h.tolist() for h in np.split(ent[srt], cuts)] if cand.size else []
-        top = np.array([h[0] for h in self.heaps], dtype=np.int64)
-        self.topk, self.toprank = top // n, top % n
-        self.empty = np.zeros(len(self.heaps), dtype=bool)
+        # |key| < bound: slope·d_S only falls and base is monotone in k,
+        # which only falls, from at most max k to at least 0
+        slope, self.base = key
+        self.value = vals = cval.tolist()
+        kmax = int(kc.max()) if cand.size else 0
+        self.bound = n * (1 + max((abs(slope(v)) * state.d for v in vals), default=0)
+                          + max((abs(self.base(v, k)) for v in vals for k in (0, kmax)), default=0))
+        dtype = key_dtype(self.bound)
+        self.slope = np.array([slope(v) * n for v in vals], dtype=dtype)
+        self.icpt = np.zeros(len(vals), dtype=dtype)
+        self.key = np.zeros(len(vals), dtype=dtype)
+        self.toprank = [0] * len(vals)
+        for c, h in enumerate(self.heaps):
+            self._top(c, h[0])
         self.lev = lev.tolist()
         # pc[w]: w's neighbours in S one level down (0 outside S)
         rows = np.flatnonzero(alive)
@@ -151,37 +152,64 @@ class RemovalQueue:
         up = alive[nb] & (lev[nb] == lev[own] - 1)
         self.pc = np.bincount(own[up], minlength=n).tolist()
 
-    def best(self, score: Callable[[np.ndarray], np.ndarray]) -> Optional[int]:
-        """The best candidate whose removal leaves S connected, or None;
-        ``score(k)`` keys the class tops. Candidates found to cut S are
-        parked on the way."""
-        state = self.state
-        while self.heaps:
-            key = score(self.topk)
-            key[self.empty] = -np.inf
+    def best(self) -> Optional[int]:
+        """The best candidate whose removal leaves S connected, or None.
+        Candidates found to cut S are parked on the way."""
+        key = self.key
+        while len(key):
+            np.multiply(self.slope, self.state.d, out=key)
+            key += self.icpt
             c = int(key.argmax())
-            if key[c] == -np.inf:
+            if key[c] <= -self.bound:  # every class is empty
                 return None
-            ties = np.flatnonzero(key == key[c])
-            if len(ties) > 1:
-                c = int(ties[self.toprank[ties].argmin()])
-            u = self.byrank[int(self.toprank[c])]
-            if self.certified(u) or stays_connected(state.csr, state.S.mask, u):
+            u = self.byrank[self.toprank[c]]
+            if self.removable(u):
                 return u
             self.parked[u] = 1
             self._retop(c)
         return None
 
-    def certified(self, u: int) -> bool:
-        """Whether every neighbour of u one level down has a parent in S
-        other than u, which proves S - {u} connected."""
+    def critical(self, u: int) -> List[int]:
+        """u's neighbours in S one level down with u as their only parent."""
         csr, alive, lev, pc = self.state.csr, self.state.S.mask, self.lev, self.pc
         ptr = csr.py_indptr
         below = lev[u] + 1
-        for w in csr.py_indices[ptr[u]:ptr[u + 1]]:
-            if alive[w] and lev[w] == below and pc[w] == 1:
-                return False
+        return [w for w in csr.py_indices[ptr[u]:ptr[u + 1]]
+                if alive[w] and lev[w] == below and pc[w] == 1]
+
+    def removable(self, u: int) -> bool:
+        """Whether S - {u} is connected, for u in S other than the root:
+        a search from each critical child of u reaches a safe node
+        (module docstring)."""
+        crit = self.critical(u)
+        critical = set(crit)
+        safe: Set[int] = set()  # connected to a safe node in S - u
+        for w in crit:
+            if w not in safe:
+                seen = self._reach(u, w, critical, safe)
+                if seen is None:
+                    return False  # w's component of S - u misses the root
+                safe |= seen
         return True
+
+    def _reach(self, u: int, w: int, critical: Set[int], safe: Set[int]) -> Optional[Set[int]]:
+        """Search S - u from w, a critical child of u: the nodes visited
+        before a safe node or one of ``safe`` was met, or None if the
+        search ran out."""
+        csr, alive, lev = self.state.csr, self.state.S.mask, self.lev
+        ptr, nbr = csr.py_indptr, csr.py_indices
+        below = lev[u] + 1
+        seen = {u, w}  # u first, so that no search enters it
+        frontier = [w]
+        for x in frontier:  # grows as it is walked: a BFS
+            for y in nbr[ptr[x]:ptr[x + 1]]:
+                if y in seen or not alive[y]:
+                    continue
+                if lev[y] < below or (lev[y] == below and y not in critical) or y in safe:
+                    return seen
+                seen.add(y)
+                frontier.append(y)
+        return None
 
     def remove(self, u: int) -> None:
         """Remove ``u``, a node :meth:`best` returned, from S."""
@@ -195,9 +223,15 @@ class RemovalQueue:
                 e = k[w] * n + rank[w]
                 heapq.heappush(heaps[c], e)
                 if heaps[c][0] == e:
-                    self.topk[c], self.toprank[c], self.empty[c] = k[w], rank[w], False
+                    self._top(c, e)
         self._retop(cid[u])
         self._relevel(u, changed)
+
+    def _top(self, c: int, e: int) -> None:
+        """Make the heap entry ``e`` the top of class ``c`` and key it."""
+        k, r = divmod(e, self.n)
+        self.toprank[c] = r
+        self.icpt[c] = self.base(self.value[c], k) * self.n + (self.n - 1 - r)
 
     def _retop(self, c: int) -> None:
         """Drop the entries of removed and parked nodes from the top of
@@ -209,10 +243,10 @@ class RemovalQueue:
         while h:
             v = byrank[h[0] % n]
             if alive[v] and not parked[v]:
-                self.topk[c], self.toprank[c] = divmod(h[0], n)
+                self._top(c, h[0])
                 return
             heapq.heappop(h)
-        self.empty[c] = True
+        self.icpt[c] = -2 * self.bound  # below every key, whatever d_S
 
     def _relevel(self, u: int, changed: List[int]) -> None:
         """Repair ``lev`` and ``pc`` after u left: a node with no parent
@@ -250,10 +284,10 @@ class RemovalQueue:
 
 def nca_queue(
     g: LocalGraph, queries: Iterable[int], scorer: str = "dmg", measure: str = "dm"
-) -> Optional[Tuple[PeelState, RemovalQueue, Callable[[np.ndarray], np.ndarray]]]:
-    """NCA's start: the ``PeelState`` over the component of Q, its
-    ``RemovalQueue`` in degree classes and the score of the class tops;
-    None where Q has no connected community."""
+) -> Optional[Tuple[PeelState, RemovalQueue]]:
+    """NCA's start: the ``PeelState`` over the component of Q and its
+    ``RemovalQueue`` in degree classes, keyed by Λ or Θ; None where Q
+    has no connected community."""
     found = g.query_bfs(queries)
     if found is None:
         return None
@@ -267,12 +301,8 @@ def nca_queue(
     # Positions are in id order, so the key (score, dist, id) becomes
     # (score, dist·n + position).
     tie = csr.levels(order, bounds) * csr.n + np.arange(csr.n)
-    queue = RemovalQueue(state, qpos, csr.deg, tie, lev)
-    deg = queue.cval
-    if scorer == "dmg":  # Λ: exact integers in float64
-        return state, queue, lambda k: dm_gain(k, state.d, deg, state.m)
-    # NCA-DR: Θ = density_ratio(deg, k)
-    return state, queue, lambda k: np.where(k > 0, deg / np.where(k > 0, k, 1), np.inf)
+    key = dmg_key(g.m) if scorer == "dmg" else ratio_key(int(csr.deg.max()))
+    return state, RemovalQueue(state, qpos, csr.deg, tie, lev, key)
 
 
 def nca(
@@ -286,12 +316,12 @@ def nca(
     found = nca_queue(g, queries, scorer, measure)
     if found is None:
         return None
-    state, queue, score = found
+    state, queue = found
     t0 = time.monotonic()
     while True:
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             break
-        if (u := queue.best(score)) is None:
+        if (u := queue.best()) is None:
             break  # every candidate left is an articulation point
         queue.remove(u)
     return state.best()

@@ -1,10 +1,16 @@
 """NCA invariants and behaviours (§5.4)."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.wu2015 import ETA, wu2015_queue, wu_key
 from repro.core import dm_of, nca, nca_dr
 from repro.core.modularity import density_ratio, dm_gain
-from repro.core.nca import nca_queue, stays_connected
+from repro.core.nca import RemovalQueue, dmg_key, key_dtype, nca_queue, ratio_key
 from repro.core.peel import PeelState
 from repro.gendata.classic import karate, ring_of_cliques
 from repro.gendata.lfr import lfr_graph
@@ -71,16 +77,23 @@ def _bridged_graph(seed):
 
 
 def _stays(g, members, u):
-    """``stays_connected`` on node ids: the alive mask of ``members`` and
-    u's position in the CSR view of g."""
+    """The queue's decision whether ``members`` - {u} is connected, on node
+    ids: a ``RemovalQueue`` over S = ``members``, its levels rooted at the
+    smallest member other than u (at u when it is the only one)."""
     csr = g.csr()
-    alive = bytearray(csr.n)
-    for p in csr.positions(members).tolist():
-        alive[p] = 1
-    return stays_connected(csr, alive, int(csr.positions([u])[0]))
+    root = min(members - {u}, default=u)
+    state = PeelState(g, members)
+    lev = np.full(csr.n, -1, dtype=np.int64)
+    for v, d in g.subgraph(members).bfs_dist([root]).items():
+        lev[csr.positions([v])[0]] = d
+    fixed = csr.positions([root])
+    queue = RemovalQueue(state, fixed, csr.deg, np.arange(csr.n), lev, dmg_key(g.m))
+    return queue.removable(int(csr.positions([u])[0]))
 
 
 class TestStaysConnected:
+    """``RemovalQueue.removable`` against Tarjan on fixed sets."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_articulation_points(self, seed):
         g = _bridged_graph(seed)
@@ -108,10 +121,10 @@ class TestStaysConnected:
 
 
 def _check_queue(g, state, queue, root):
-    """The queue's certificate and cache state against fresh
-    recomputations on the induced S: ``lev`` is the BFS level from
-    ``root``, ``pc`` the count of neighbours one level down, and every
-    parked node an articulation point."""
+    """The queue's search and cache state against fresh recomputations on
+    the induced S: ``lev`` is the BFS level from ``root``, ``pc`` the
+    count of neighbours one level down, and every parked node an
+    articulation point. Returns the articulation points of S (ids)."""
     ids = state.csr.ids.tolist()
     members = [ids[p] for p in state.S]
     sub = g.subgraph(members)
@@ -125,6 +138,7 @@ def _check_queue(g, state, queue, root):
     arts = sub.articulation_points()
     parked = {ids[p] for p in state.S if queue.parked[p]}
     assert parked <= arts, f"parked but not cutting S: {sorted(parked - arts)}"
+    return arts
 
 
 def _queue_cases():
@@ -146,17 +160,184 @@ QUEUE_CASES = _queue_cases()
 @pytest.mark.parametrize("case", QUEUE_CASES, ids=[c[0] for c in QUEUE_CASES])
 def test_queue_state_after_every_removal(case, scorer):
     _, g, q = case
-    state, queue, score = nca_queue(g, q, scorer)
+    state, queue = nca_queue(g, q, scorer)
     root = min(q)
-    _check_queue(g, state, queue, root)
-    certified = 0
-    while (u := queue.best(score)) is not None:
-        if queue.certified(u):
-            certified += 1
-            assert stays_connected(state.csr, state.S.mask, u)
+    arts = _check_queue(g, state, queue, root)
+    searchless = 0
+    while (u := queue.best()) is not None:
+        if not queue.critical(u):
+            searchless += 1
+        assert state.csr.ids[u] not in arts  # the removal keeps S connected
         queue.remove(u)
-        _check_queue(g, state, queue, root)
-    assert len(state.order) == 0 or certified > 0
+        arts = _check_queue(g, state, queue, root)
+    assert len(state.order) == 0 or searchless > 0
+
+
+def _queue(kind, g, q):
+    """(state, queue) of NCA (``dmg``), NCA-DR (``ratio``) or wu2015."""
+    return wu2015_queue(g, q)[:2] if kind == "wu2015" else nca_queue(g, q, kind)
+
+
+def _pick(kind, state, cand, dist):
+    """The reference choice among the candidates ``cand`` (positions):
+    max (Λ or Θ, dist, id) for NCA, min (k/π, −π, id) for wu2015, in
+    exact arithmetic."""
+    k, deg = state.k, state.deg
+    if kind == "dmg":
+        return max(cand, key=lambda p: (deg[p] * (2 * state.d - deg[p]) - 4 * state.m * k[p],
+                                        dist[p], p))
+    if kind == "ratio":
+        return max(cand, key=lambda p: (Fraction(deg[p], k[p]) if k[p] else math.inf, dist[p], p))
+    return min(cand, key=lambda p: (Fraction(k[p], 2 ** dist[p]), -dist[p], p))
+
+
+def _peel_against_tarjan(kind, g, q):
+    """Peel with the queue to the end. Before every removal, the decision
+    for every candidate u equals ``u not in articulation_points()`` of S,
+    and the queue's pick equals the reference choice."""
+    state, queue = _queue(kind, g, q)
+    csr = state.csr
+    ids = csr.ids.tolist()
+    qpos = set(csr.positions(q).tolist())
+    dist = csr.levels(*csr.bfs(csr.positions(q))).tolist()
+    while True:
+        arts = g.subgraph(ids[p] for p in state.S).articulation_points()
+        cand = [p for p in state.S if p not in qpos]
+        for p in cand:
+            assert queue.removable(p) == (ids[p] not in arts), f"decision on {ids[p]}"
+        cand = [p for p in cand if ids[p] not in arts]
+        u = queue.best()
+        assert u == (_pick(kind, state, cand, dist) if cand else None)
+        if u is None:
+            return queue
+        queue.remove(u)
+
+
+@st.composite
+def peel_case(draw):
+    """A connected graph (GNP's largest component or ``_bridged_graph``)
+    with |Q| = 1 or 2 and the classes of NCA, NCA-DR or wu2015."""
+    if draw(st.booleans()):
+        g = random_local_graph(draw(st.integers(2, 30)), draw(st.floats(0.05, 0.5)),
+                               draw(st.integers(0, 10**6)))
+        g = g.subgraph(max(g.connected_components(), key=len))
+    else:
+        g = _bridged_graph(draw(st.integers(0, 12)))
+    nodes = sorted(g.adj)
+    size = min(draw(st.integers(1, 2)), len(nodes))
+    q = draw(st.lists(st.sampled_from(nodes), min_size=size, max_size=size, unique=True))
+    return draw(st.sampled_from(["dmg", "ratio", "wu2015"])), g, q
+
+
+@given(peel_case())
+@settings(max_examples=80, deadline=None)
+def test_decision_matches_tarjan_on_random_peels(case):
+    _peel_against_tarjan(*case)
+
+
+def _lollipop(clique, path):
+    """A clique on 0..clique-1 with a path of ``path`` nodes hung off node 0."""
+    edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
+    edges += [(v, v + 1) for v in range(clique, clique + path - 1)] + [(0, clique)]
+    return LocalGraph.from_edges(edges)
+
+
+@pytest.mark.parametrize("kind", ["dmg", "ratio", "wu2015"])
+def test_key_dtype_on_a_real_queue(kind):
+    # wu2015's keys scale by 2^(max dist): past 2^60 on a long path
+    g = _lollipop(6, 70)
+    queue = _peel_against_tarjan(kind, g, [75])
+    assert queue.key.dtype == (object if kind == "wu2015" else np.int64)
+
+
+def _float_order(kind, tops, d_s, m):
+    """Class tops (value, k, rank) best first, as the float score of
+    each class top, then the smaller rank, order them."""
+    vals = np.array([v for v, _, _ in tops], dtype=np.int64)
+    ks = np.array([k for _, k, _ in tops], dtype=np.int64)
+    if kind == "dmg":
+        score = dm_gain(ks, d_s, vals, m)
+    elif kind == "ratio":
+        score = np.where(ks > 0, vals / np.where(ks > 0, ks, 1), np.inf)
+    else:
+        score = -(ks / ETA ** -vals)
+    return sorted(range(len(tops)), key=lambda i: (-score[i], tops[i][2])), score
+
+
+def _int_order(key, tops, d_s, n):
+    slope, base = key
+    keys = [(slope(v) * d_s + base(v, k)) * n + (n - 1 - r) for v, k, r in tops]
+    assert len(set(keys)) == len(keys)  # distinct ranks: keys never tie
+    return sorted(range(len(tops)), key=lambda i: -keys[i])
+
+
+class TestKeyOrder:
+    """The integer keys order class tops as the float score and the rank
+    tie rule do."""
+
+    N = 1000
+
+    def _tops(self, rng, count, vmax, kmax):
+        ranks = rng.choice(self.N, size=count, replace=False).tolist()
+        return [(int(rng.integers(1, vmax + 1)), int(rng.integers(0, kmax + 1)), r)
+                for r in ranks]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dmg(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        tops = self._tops(rng, 60, 8, 8)
+        d_s = int(rng.integers(0, 2 * m + 1))
+        want, score = _float_order("dmg", tops, d_s, m)
+        assert _int_order(dmg_key(m), tops, d_s, self.N) == want
+        assert len(set(score.tolist())) < len(tops)  # equal Λ, broken by rank
+
+    def test_dmg_equal_gain(self):
+        # Λ(d=1, k=0) = Λ(d=3, k=1) = 13 at d_S = 7, m = 5
+        tops = [(1, 0, 5), (3, 1, 4), (3, 0, 9)]
+        want, score = _float_order("dmg", tops, 7, 5)
+        assert score[0] == score[1] and want == [2, 1, 0]
+        assert _int_order(dmg_key(5), tops, 7, self.N) == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ratio(self, seed):
+        rng = np.random.default_rng(seed)
+        tops = self._tops(rng, 60, 12, 6)
+        want, score = _float_order("ratio", tops, 0, 1)
+        assert _int_order(ratio_key(12), tops, 0, self.N) == want
+        assert np.isinf(score).sum() > 1  # k = 0 ties on Θ = ∞
+
+    def test_ratio_ties(self):
+        # Θ: 2/1 = 4/2 = 6/3 tie and fall back on the rank; 0 k is ∞
+        tops = [(2, 1, 7), (4, 2, 3), (6, 3, 5), (7, 4, 0), (1, 0, 8), (3, 0, 6)]
+        want, _ = _float_order("ratio", tops, 0, 1)
+        assert want == [5, 4, 1, 2, 0, 3]
+        assert _int_order(ratio_key(7), tops, 0, self.N) == want
+
+    def test_ratio_close_fractions(self):
+        # 12/11 and 11/10 differ by 1/110, less than 1 at any scale below D²
+        tops = [(12, 11, 0), (11, 10, 1), (13, 12, 2)]
+        want, _ = _float_order("ratio", tops, 0, 1)
+        assert _int_order(ratio_key(13), tops, 0, self.N) == want == [1, 0, 2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_wu2015(self, seed):
+        rng = np.random.default_rng(seed)
+        tops = self._tops(rng, 60, 9, 6)
+        want, _ = _float_order("wu2015", tops, 0, 1)
+        assert _int_order(wu_key(9), tops, 0, self.N) == want
+
+    def test_wu2015_ties(self):
+        # k/pi: 2/2^1 = 4/2^2 = 1/2^0; k = 0 ties at every distance
+        tops = [(1, 2, 4), (2, 4, 2), (0, 1, 3), (3, 0, 1), (5, 0, 0)]
+        want, _ = _float_order("wu2015", tops, 0, 1)
+        assert want == [4, 3, 1, 2, 0]
+        assert _int_order(wu_key(5), tops, 0, self.N) == want
+
+    def test_dtype_at_its_bound(self):
+        bound = (2 ** 63 - 1) // 3  # -3·bound is the least key
+        assert key_dtype(bound) is np.int64
+        assert key_dtype(bound + 1) is object
 
 
 class TestCertificate:
@@ -168,13 +349,28 @@ class TestCertificate:
         # 0-1-2-3-0 from 0: node 2 has parents 1 and 3
         queue = self._queue([(0, 1), (1, 2), (2, 3), (3, 0)], 0)
         assert queue.lev == [0, 1, 2, 1] and queue.pc == [0, 1, 2, 1]
-        assert queue.certified(1) and queue.certified(3) and queue.certified(2)
+        assert queue.critical(1) == queue.critical(3) == queue.critical(2) == []
+        assert queue.removable(1) and queue.removable(3) and queue.removable(2)
 
     def test_only_parent_is_not_certified(self):
         # the path 0-1-2 and a triangle 0-3-4: 2's only parent is 1
         queue = self._queue([(0, 1), (1, 2), (0, 3), (3, 4), (4, 0)], 0)
-        assert not queue.certified(1)
-        assert queue.certified(2) and queue.certified(3) and queue.certified(4)
+        assert queue.critical(1) == [2]
+        assert not queue.removable(1)
+        assert queue.removable(2) and queue.removable(3) and queue.removable(4)
+
+    def test_critical_child_reaches_a_sibling(self):
+        # 0-1-2, 0-3-4, 2-4 from 0: 2's only parent is 1, but its
+        # neighbour 4 on its own level has the parent 3
+        queue = self._queue([(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)], 0)
+        assert queue.critical(1) == [2] and queue.removable(1)
+
+    def test_critical_child_reaches_an_earlier_search(self):
+        # 1's children 2 and 3 (only parent 1) both lead to 4, whose only
+        # parent is 5; the search from 3 may stop at 2, already shown safe
+        edges = [(0, 1), (1, 2), (1, 3), (2, 3), (0, 5), (5, 4), (2, 4)]
+        queue = self._queue(edges, 0)
+        assert queue.critical(1) == [2, 3] and queue.removable(1)
 
     def test_orphan_moves_down_a_level(self):
         # removing 1 from 0-1-3, 0-2-4, 3-4 leaves 3 under 4 at level 3
