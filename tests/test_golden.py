@@ -10,9 +10,10 @@ tests.test_golden`` and paste its output over ``GOLDEN`` and
 
 ``GOLDEN_E11`` covers Figure 11's graphs (``lfr(seed=7, n, d_avg=12,
 d_max=60, max_c=200)`` at n = 2000, 5000 and 20000), where one FPA or
-NCA query peels up to 20K nodes. Un-pruned FPA-DMG rescans its whole
-candidate layer per removal, so it runs on n = 2000 only. The keys of
-``GOLDEN_E11`` are the configurations and sizes that run.
+NCA query peels up to 20K nodes. The keys of ``GOLDEN_E11`` are the
+configurations and sizes that run; un-pruned FPA-DMG runs at all three
+sizes, so a change to how it drains a layer is checked where its layers
+hold thousands of nodes.
 
 ``GOLDEN_INDEX`` locks what every query above and every benchmark answer
 starts from: the truss index (``truss_numbers``, ``node_truss_numbers``)
@@ -129,6 +130,8 @@ GOLDEN_E11: Dict[Tuple[str, int], Tuple[Tuple[int, ...], str]] = {
     ("fpa-ratio-dm-prune", 5000): ((11, 23), "a359a27955a18271"),
     ("fpa-ratio-dm-prune", 20000): ((13, 28), "547b40744f2f5799"),
     ("fpa-dmg-dm-full", 2000): ((92, 41, 20), "d187365dfe1b647a"),
+    ("fpa-dmg-dm-full", 5000): ((411, 84), "8df7a6c6f2ccafcf"),
+    ("fpa-dmg-dm-full", 20000): ((39, 94), "195e2224f72ec6c5"),
     ("fpa-dmg-dm-prune", 2000): ((12, 7, 4), "254680ed489a8f25"),
     ("fpa-dmg-dm-prune", 5000): ((8, 11), "75422c3c3e29101f"),
     ("fpa-dmg-dm-prune", 20000): ((7, 11), "9c836261a6555dcd"),
