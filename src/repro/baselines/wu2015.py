@@ -8,13 +8,15 @@ setting) — a distance-decayed stand-in for [58]'s random-walk proximity
 with the worst local contribution ``k_{v,S} / pi_v`` (a ``PeelState``
 peel with NCA's ``RemovalQueue``, its classes the query distances and
 its exact keys -k·2^(max dist - dist): no articulation pass, no float
-score); the incumbent is the intermediate subgraph with the best rho.
+score); the incumbent is the intermediate subgraph with the best rho,
+compared exactly: pi_v = 2^dist is a Python int and rho is compared by
+cross-multiplication, so no BFS depth overflows it.
 Reproduces the behaviour the DMCS paper leans on: results hug the query
 node and degrade when q is off-centre.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,8 +24,7 @@ from ..core.nca import Key, RemovalQueue
 from ..core.peel import PeelState
 from ..graphs.local import LocalGraph
 
-# Every pi is a power of two, so sum(pi) is exact in any summation order
-# while below 2^53 (BFS depth <= 36 at max_nodes): rho is order-free.
+# pi_v = ETA^-dist; at ETA = 0.5 that is 2^dist, kept as an exact int
 ETA = 0.5
 
 
@@ -35,11 +36,11 @@ def wu_key(top: int) -> Key:
 
 def wu2015_queue(
     g: LocalGraph, queries: Iterable[int], max_nodes: int = 50_000
-) -> Optional[Tuple[PeelState, RemovalQueue, np.ndarray, float]]:
+) -> Optional[Tuple[PeelState, RemovalQueue, List[int], int]]:
     """wu2015's start: the ``PeelState`` over the component of Q, its
-    ``RemovalQueue`` in query-distance classes, pi per position and its
-    sum over S; None where Q has no connected community or it exceeds
-    ``max_nodes``."""
+    ``RemovalQueue`` in query-distance classes, the query distance per
+    position and the sum of pi = 2^dist over S; None where Q has no
+    connected community or it exceeds ``max_nodes``."""
     found = g.query_bfs(queries)
     if found is None:
         return None
@@ -53,11 +54,10 @@ def wu2015_queue(
         order, bounds = csr.bfs(qpos)
     state = PeelState(g, csr.ids[order])
     n, dist = csr.n, csr.levels(order, bounds)
-    pi = ETA ** -dist
     # min (k/pi, -pi, id) is max (-(k/pi), dist, -position): pi grows with dist
     tie = dist * n + (n - 1 - np.arange(n))
     queue = RemovalQueue(state, qpos, dist, tie, lev, wu_key(int(dist.max())))
-    return state, queue, pi, pi[order].sum()
+    return state, queue, dist.tolist(), sum(1 << d for d in dist[order].tolist())
 
 
 def wu2015(
@@ -68,11 +68,11 @@ def wu2015(
     found = wu2015_queue(g, queries, max_nodes)
     if found is None:
         return None
-    state, queue, pi, w = found
-    best_t, best_rho = 0, state.l / w
+    state, queue, dist, w = found
+    best_t, best_l, best_w = 0, state.l, w  # the best rho = best_l / best_w
     while (u := queue.best()) is not None:
         queue.remove(u)
-        w -= pi[u]
-        if (rho := state.l / w) >= best_rho:  # a tie keeps the later S
-            best_t, best_rho = len(state.order), rho
+        w -= 1 << dist[u]
+        if state.l * best_w >= best_l * w:  # rho >= the best; a tie keeps the later S
+            best_t, best_l, best_w = len(state.order), state.l, w
     return state.members(best_t)

@@ -338,6 +338,14 @@ class TestWu2015:
         g, _ = kg
         assert wu2015(g, [0], max_nodes=5) is None
 
+    @pytest.mark.parametrize("n", [60, 1100])
+    def test_path_past_float_range(self, n):
+        """On a path from the query, rho of the first s nodes is
+        (s - 1) / (2^s - 1), highest at s = 2. Past depth 1023, 2^dist
+        overflows a float (and ``wu2015_reference`` with it)."""
+        g = LocalGraph.from_edges([(i, i + 1) for i in range(n - 1)])
+        assert wu2015(g, [0]) == {0, 1}
+
 
 class TestAllReturnValidSets:
     """Uniform contract across the roster on a small LFR graph."""
