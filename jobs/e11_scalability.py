@@ -4,11 +4,10 @@ Paper: 10K..100K nodes; ours: 2K..20K (DESIGN.md §5 scale-down). The
 paper's NCA runs a Tarjan pass per removal; ours removes every node of
 the component but scores only the top of each degree class and proves
 most removals safe without a connectivity search (``core/nca.py``), so
-it runs at every size here. ``NCA_MAX_N`` caps it for larger sizes,
-reported as ``nca_capped=True`` (the paper likewise reports NCA only
-where it finishes). The claim under test is relative: NCA slowest,
-kc/highcore fastest, FPA in between with a near-linear slope. NCA runs
-under a per-query time budget.
+it runs at every size here. FPA-DMG drains each layer through the same
+queue. The claim under test is relative: NCA slowest, kc/highcore
+fastest, FPA in between with a near-linear slope. NCA runs under a
+per-query time budget.
 """
 import pandas as pd
 
@@ -23,7 +22,6 @@ from _common import emit
 
 SIZES = [2000, 5000, 10000, 20000]
 NCA_BUDGET = 120.0
-NCA_MAX_N = 20000
 
 
 def run(n_queries: int = 3) -> pd.DataFrame:
@@ -36,9 +34,8 @@ def run(n_queries: int = 3) -> pd.DataFrame:
             "kc": lambda gg, q: kc(gg, q, k=3, cores=cores),
             "highcore": lambda gg, q: highcore(gg, q, cores=cores),
             "FPA": fpa,
-            "NCA": lambda gg, q: (
-                nca(gg, q, time_budget=NCA_BUDGET) if n <= NCA_MAX_N else None
-            ),
+            "FPA-DMG": lambda gg, q: fpa(gg, q, scorer="dmg"),
+            "NCA": lambda gg, q: nca(gg, q, time_budget=NCA_BUDGET),
         }
         df = run_algorithms(g, comms, algos, queries)
         for name in algos:
@@ -51,7 +48,6 @@ def run(n_queries: int = 3) -> pd.DataFrame:
                     median_seconds=round(ok["seconds"].median(), 4) if len(ok) else None,
                     max_seconds=round(ok["seconds"].max(), 4) if len(ok) else None,
                     runs=len(ok),
-                    nca_capped=(name == "NCA" and (n > NCA_MAX_N)),
                 )
             )
         print(f"[e11] n={n} done")

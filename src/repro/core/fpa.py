@@ -8,7 +8,8 @@ removed node need updates — maintained with a lazy-deletion heap).
 
 Variants:
 * ``scorer="dmg"``  → FPA-DMG (Figure 14): density-modularity gain Λ,
-  unstable, recomputed over the whole candidate layer each removal.
+  unstable (Lemma 4), so a layer is drained by NCA's ``RemovalQueue``,
+  whose class tops carry exact integer keys, over a ``PeelState`` of P_j.
 * ``measure``       → which goodness function picks the incumbent
   ("dm" | "cm" | "gmd", Figure 12).
 * ``prune=True``    → §5.7 layer-based pruning: score every distance-prefix
@@ -56,7 +57,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..graphs.local import CSR, LocalGraph
-from .modularity import dm_gain, scores_of
+from .modularity import scores_of
+from .nca import RemovalQueue, dmg_key
+from .peel import PeelState
 from .steiner import steiner_connector
 
 # The rest of a layer is dropped only when UB < LB − SKIP_MARGIN·max(|LB|, 1),
@@ -111,12 +114,15 @@ class _Layers:
     ``e_in`` holds e(v, P_{j−1}); a layer's peel lowers k for the layer's
     own nodes only. ``left`` marks the nodes of the layer being peeled that
     are still in S. ``logs[j]`` holds layer j's removals and the k each had
-    when it left. The incumbent ``best`` is (score, size, j, t): P_j minus
-    the first t removals of layer j.
+    when it left. FPA-DMG drains a layer through its own ``PeelState`` of
+    P_j instead, whose k, alive mask and removal log stand in for these.
+    The incumbent ``best`` is (score, size, j, t): P_j minus the first t
+    removals of layer j.
     """
 
     def __init__(self, g: LocalGraph, order: np.ndarray, bounds: np.ndarray,
                  scorer: str, measure: str, prune: bool) -> None:
+        self.g = g
         self.csr = csr = g.csr()
         self.m, self.order, self.bounds = g.m, order, bounds
         self.scorer, self.measure = scorer, measure
@@ -141,33 +147,44 @@ class _Layers:
         """Peel layer j from S = P_j until it is empty or the bound rules
         out every set left in it; returns the number of removals."""
         layer = self.order[self.bounds[j]:self.bounds[j + 1]]
-        nodes = layer.tolist()
-        left = np.frombuffer(self.left, dtype=np.bool_)
-        left[layer] = True
-        log, logk = self.logs[j] = ([], [])
-        drain = self._drain_ratio(nodes) if self.scorer == "ratio" else self._drain_dmg(j, nodes)
+        if self.scorer == "ratio":
+            left, k = np.frombuffer(self.left, dtype=np.bool_), np.frombuffer(self.k, dtype=np.int64)
+            left[layer] = True
+            log, logk = [], []
+            drain = self._drain_ratio(layer.tolist(), log, logk)
+        else:
+            # Max Λ in degree classes, a tie going to the larger position.
+            # No node of the farthest layer has a child in S = P_j, so the
+            # queue never searches, parks or re-levels, and best() always
+            # returns one of the layer's remaining nodes.
+            csr = self.csr
+            state = PeelState(self.g, csr.ids[self.order[: self.bounds[j + 1]]], self.measure)
+            queue = RemovalQueue(state, self.order[: self.bounds[j]], csr.deg, np.arange(csr.n),
+                                 csr.levels(self.order, self.bounds), dmg_key(self.m))
+            left, k, log, logk = state.S.array(), state.k_array(), state.order, state.removed_k
+            drain = (queue.remove(queue.best()) for _ in layer)
+        self.logs[j] = (log, logk)
         lb = self.best[0]  # the best of every P_i and of the inner layers' sets
         floor = lb - SKIP_MARGIN * max(abs(lb), 1.0)
         # Bound the layer when `check` of its nodes are left: at its start,
         # then each time the count halves. With one node left, every set
         # still to come is the current S (already visited) or P_{j−1}.
-        remaining = check = len(nodes)
+        remaining = check = len(layer)
         while remaining:
             if remaining == check and check > 1:
-                if self._bound(j, layer) < floor:
+                if self._bound(j, layer, left, k) < floor:
                     break
                 check //= 2
-            u, ku = next(drain)
-            log.append(u)
-            logk.append(ku)
+            next(drain)
             remaining -= 1
         self._offer(j)
-        left[layer] = False
+        if self.scorer == "ratio":
+            left[layer] = False  # the next layer's drain marks only its own nodes
         return len(log)
 
-    def _drain_ratio(self, nodes: List[int]) -> Iterator[Tuple[int, int]]:
+    def _drain_ratio(self, nodes: List[int], log: List[int], logk: List[int]) -> Iterator[None]:
         """Remove the layer's nodes in max-Θ order (ties: smaller k, then
-        smaller position) with a lazy-deletion heap, yielding each with the
+        smaller position) with a lazy-deletion heap, logging each with the
         k it had. k ≥ e(v, P_{j−1}) ≥ 1, so Θ = d_v / k is finite."""
         k, deg, left = self.k, self.csr.py_deg, self.left
         ptr, nbrs = self.csr.py_indptr, self.csr.py_indices
@@ -182,25 +199,9 @@ class _Layers:
                 if left[w]:
                     k[w] -= 1
                     heapq.heappush(heap, (-deg[w] / k[w], k[w], w))
-            yield u, ku
-
-    def _drain_dmg(self, j: int, nodes: List[int]) -> Iterator[Tuple[int, int]]:
-        """Remove the layer's nodes in max-Λ order (ties: larger position),
-        yielding each with the k it had; Λ is unstable (Lemma 4), so it is
-        recomputed over the whole remaining layer each removal."""
-        k, deg, left, m = self.k, self.csr.py_deg, self.left, self.m
-        ptr, nbrs = self.csr.py_indptr, self.csr.py_indices
-        d = self.d[j]
-        cand = set(nodes)
-        while cand:
-            u = max(cand, key=lambda v: (dm_gain(k[v], d, deg[v], m), v))
-            cand.discard(u)
-            left[u] = 0
-            for w in nbrs[ptr[u]:ptr[u + 1]]:
-                if left[w]:
-                    k[w] -= 1
-            d -= deg[u]
-            yield u, k[u]
+            log.append(u)
+            logk.append(ku)
+            yield
 
     def _offer(self, j: int) -> None:
         """Score the sets layer j visited after P_j and keep the best."""
@@ -216,14 +217,14 @@ class _Layers:
         if score > self.best[0] or (score == self.best[0] and n < self.best[1]):
             self.best = (score, n, j, t)
 
-    def _bound(self, j: int, layer: np.ndarray) -> float:
-        """UB on the score of every set layer j has left to visit."""
+    def _bound(self, j: int, layer: np.ndarray, left: np.ndarray, k: np.ndarray) -> float:
+        """UB on the score of every set layer j has left to visit; ``left``
+        marks the nodes in S and ``k`` holds their k."""
         if self.measure != "dm":
             return float("inf")
-        rem = layer[np.frombuffer(self.left, dtype=np.bool_)[layer]]
-        k = np.frombuffer(self.k, dtype=np.int64)[rem]
+        rem = layer[left[layer]]
         return dm_upper_bound(self.l[j - 1], self.d[j - 1], int(self.bounds[j]), self.m,
-                              k, self.e_in[rem], self.csr.deg[rem])
+                              k[rem], self.e_in[rem], self.csr.deg[rem])
 
     def members(self) -> Set[int]:
         """The incumbent's node ids."""

@@ -52,7 +52,7 @@ the non-articulation nodes, as in the paper, without the articulation
 set. ``PeelState`` keeps the incumbent (Algorithm 1's best S) as a
 prefix of its removal log and rebuilds it once at the end. Everything
 is on CSR positions (``LocalGraph.csr``); wu2015 runs the same queue
-with BFS-distance classes.
+with BFS-distance classes, and FPA-DMG drains each of its layers with it.
 
 ``scorer="ratio"`` gives the NCA-DR variant ((a)+(d), Figure 14).
 ``time_budget`` (seconds) bounds the loop: on expiry the best incumbent
@@ -101,6 +101,9 @@ class RemovalQueue:
     class is ordered by (k_{v,S}, then the largest ``tie``); ``tie`` is
     distinct per position. ``key`` scores a class top from its class
     value and k; the score must fall as k grows within a class.
+    Candidates confined to the farthest level of S (FPA-DMG's layers)
+    have no child in S, so no removal searches and ``lev`` need not be
+    rooted at one node: the seed's multi-source BFS levels serve.
     """
 
     __slots__ = ("state", "n", "cid", "value", "base", "heaps", "byrank", "rank",

@@ -1,4 +1,5 @@
 """FPA invariants and behaviours (Algorithm 2, §5.5-§5.7)."""
+import importlib
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import dm_of, fpa
 from repro.core.fpa import _Layers, dm_upper_bound, prefix_scores
 from repro.core.modularity import scores_of
+from repro.core.nca import RemovalQueue
 from repro.core.peel import PeelState
 from repro.core.steiner import steiner_connector
 from repro.evaluation.datasets import lfr, overlapping
@@ -234,6 +236,7 @@ def test_prune_tie_takes_the_smaller_prefix():
 
 
 # ------------------------------------------------ the skipping peel is exact
+FPA_MODULE = importlib.import_module("repro.core.fpa")  # the package's `fpa` is the function
 CONFIGS = list(itertools.product(("ratio", "dmg"), ("dm", "cm", "gmd"), (False, True)))
 CONFIG_IDS = [f"{s}-{m}-{'prune' if p else 'full'}" for s, m, p in CONFIGS]
 
@@ -344,10 +347,18 @@ def test_layer_state_matches_a_fresh_count(scorer, measure, prune, monkeypatch):
     """After each layer's peel, k of the layer's remaining nodes is
     e(v, P_{j-1} ∪ U_rem), and the l, d and score of every set it visited,
     taken from its log, equal a fresh count; the answer's score is the
-    incumbent's."""
+    incumbent's. FPA-DMG keeps k in the ``PeelState`` its layer's queue
+    drains, which also passes ``check()``."""
     peel = _Layers.peel
+    states = []
+
+    class Recording(PeelState):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            states.append(self)
 
     def checked(self, j):
+        states.clear()
         made = peel(self, j)
         ids, deg = self.csr.ids, self.csr.deg
         layer = self.order[self.bounds[j]:self.bounds[j + 1]].tolist()
@@ -355,7 +366,13 @@ def test_layer_state_matches_a_fresh_count(scorer, measure, prune, monkeypatch):
         assert len(log) == made
         inner = set(ids[self.order[: self.bounds[j]]].tolist())
         rest = [p for p in layer if p not in set(log)]
-        got = np.frombuffer(self.k, dtype=np.int64)[rest]
+        if scorer == "dmg":
+            (state,) = states
+            state.check()
+            got = state.k_array()[rest]
+        else:
+            assert not states
+            got = np.frombuffer(self.k, dtype=np.int64)[rest]
         assert got.tolist() == _fresh_k(g, inner | set(ids[rest].tolist()), ids[rest]).tolist()
         l = self.l[j] - np.cumsum(np.array(logk, dtype=np.int64))
         d = self.d[j] - np.cumsum(deg[log].astype(np.int64))
@@ -382,6 +399,41 @@ def test_layer_state_matches_a_fresh_count(scorer, measure, prune, monkeypatch):
 
     monkeypatch.setattr(_Layers, "peel", checked)
     monkeypatch.setattr(_Layers, "members", checked_members)
+    monkeypatch.setattr(FPA_MODULE, "PeelState", Recording)
     for _, g, q in EQUIVALENCE_CASES:
         kw = dict(scorer=scorer, measure=measure, prune=prune)
         assert fpa(g, q, **kw) == fpa_reference(g, q, **kw)
+
+
+def _dmg_queue_cases():
+    """The equivalence cases plus ten query sets each of |Q| = 1, 2 and 4
+    on the default LFR graph."""
+    g, comms = _lfr()
+    return [(g, q) for _, g, q in EQUIVALENCE_CASES] + [
+        (g, q) for size in (1, 2, 4) for q in query_sets(g, comms, n_sets=10, q_size=size, seed=0)]
+
+
+@pytest.mark.parametrize("measure,prune", [(m, p) for m in ("dm", "cm", "gmd") for p in (False, True)],
+                         ids=[f"{m}-{'prune' if p else 'full'}" for m in ("dm", "cm", "gmd") for p in (False, True)])
+def test_dmg_layer_queue_never_searches(measure, prune, monkeypatch):
+    """No node of the farthest layer has a child in S = P_j, for a
+    multi-node seed too, so every ``RemovalQueue`` that drains an FPA-DMG
+    layer decides each removal without a search: it never calls
+    ``_reach``, parks nothing and moves no node's level."""
+    queues = []
+
+    class Recording(RemovalQueue):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            self.start_lev = list(self.lev)
+            queues.append(self)
+
+        def _reach(self, *a):
+            raise AssertionError("a farthest-layer removal searched S")
+
+    monkeypatch.setattr(FPA_MODULE, "RemovalQueue", Recording)
+    for g, q in _dmg_queue_cases():
+        fpa(g, q, scorer="dmg", measure=measure, prune=prune)
+    assert sum(len(queue.state.order) for queue in queues) > 0
+    for queue in queues:
+        assert not any(queue.parked) and queue.lev == queue.start_lev
