@@ -7,8 +7,6 @@ community size, and median seconds (the Figure 9 content). GN is
 excluded at this scale, exactly as the paper drops baselines that
 exceed the time limit.
 """
-import os
-
 import pandas as pd
 
 from repro.evaluation.datasets import LFR_DEFAULTS, lfr
@@ -33,17 +31,14 @@ SWEEPS = {
 SWEEP_SEEDS = {"mu": 101, "d_avg": 102, "d_max": 103}
 
 
-def run(n_queries: int | None = None, nca_budget: float = 45.0) -> pd.DataFrame:
-    n_queries = n_queries or int(os.environ.get("REPRO_QUERIES", "5"))
+def run(n_queries: int = 10) -> pd.DataFrame:
     frames = []
     for sweep, values in SWEEPS.items():
         for val in values:
             over = {sweep: val}
             g, comms = lfr(seed=SWEEP_SEEDS[sweep], **over)
             queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=1)
-            algos = standard_algorithms(
-                g, include=ROSTER, nca_budget=nca_budget, gn_max_nodes=0
-            )
+            algos = standard_algorithms(g, include=ROSTER)
             df = run_algorithms(g, comms, algos, queries, dataset=f"{sweep}={val}")
             s = summarize(df)
             s.insert(0, "sweep", sweep)

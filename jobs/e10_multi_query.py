@@ -16,9 +16,9 @@ Q_SIZES = [1, 2, 4, 8, 16]
 ROSTER = ["kc", "kecc", "NCA", "FPA"]
 
 
-def run(n_queries: int = 5, nca_budget: float = 45.0) -> pd.DataFrame:
+def run(n_queries: int = 5) -> pd.DataFrame:
     g, comms = lfr(seed=42)
-    algos = standard_algorithms(g, include=ROSTER, nca_budget=nca_budget)
+    algos = standard_algorithms(g, include=ROSTER)
     frames = []
     for qsize in Q_SIZES:
         queries = query_sets(g, comms, n_sets=n_queries, q_size=qsize, seed=qsize)

@@ -6,8 +6,10 @@ the component but scores only the top of each degree class and proves
 most removals safe without a connectivity search (``core/nca.py``), so
 it runs at every size here. FPA-DMG drains each layer through the same
 queue. The claim under test is relative: NCA slowest, kc/highcore
-fastest, FPA in between with a near-linear slope. NCA runs under a
-per-query time budget.
+fastest, FPA in between with a near-linear slope. Each (algorithm,
+query) is timed as the median of ``ROUNDS`` rounds, and each round runs
+the whole roster, so the algorithms interleave and share the host's
+drift.
 """
 import pandas as pd
 
@@ -21,7 +23,7 @@ from repro.graphs.localops import core_numbers
 from _common import emit
 
 SIZES = [2000, 5000, 10000, 20000]
-NCA_BUDGET = 120.0
+ROUNDS = 3
 
 
 def run(n_queries: int = 3) -> pd.DataFrame:
@@ -35,9 +37,10 @@ def run(n_queries: int = 3) -> pd.DataFrame:
             "highcore": lambda gg, q: highcore(gg, q, cores=cores),
             "FPA": fpa,
             "FPA-DMG": lambda gg, q: fpa(gg, q, scorer="dmg"),
-            "NCA": lambda gg, q: nca(gg, q, time_budget=NCA_BUDGET),
+            "NCA": nca,
         }
-        df = run_algorithms(g, comms, algos, queries)
+        rounds = pd.concat([run_algorithms(g, comms, algos, queries) for _ in range(ROUNDS)])
+        df = rounds.groupby(["algo", "qid", "status"], as_index=False)["seconds"].median()
         for name in algos:
             ok = df[(df["algo"] == name) & (df["status"] == "ok")]
             rows.append(

@@ -11,10 +11,10 @@ from repro.evaluation.queries import query_sets
 from _common import emit
 
 
-def run(n_queries: int = 5, nca_budget: float = 60.0) -> pd.DataFrame:
+def run(n_queries: int = 5) -> pd.DataFrame:
     g, comms = lfr(seed=14)
     queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=5)
-    algos = variant_algorithms(nca_budget=nca_budget)
+    algos = variant_algorithms()
     df = run_algorithms(g, comms, algos, queries, dataset="lfr-default")
     return emit("e14_variants", summarize(df))
 

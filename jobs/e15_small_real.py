@@ -3,7 +3,7 @@ four small graphs with two distinct ground-truth communities
 (Karate exact; Dolphin/Mexican/Polblogs analogs per DESIGN.md §5).
 
 Full §6.1 roster including GN and clique (they fit at this scale;
-GN gets a Polblogs-sized budget cut exactly as in the paper).
+GN's node cap, ``gn.MAX_NODES``, cuts Polblogs exactly as in the paper).
 """
 import pandas as pd
 
@@ -18,11 +18,7 @@ def run(n_queries: int = 10) -> pd.DataFrame:
     frames = []
     for name, (g, comms) in small_real().items():
         queries = query_sets(g, comms, n_sets=n_queries, q_size=1, seed=6)
-        algos = standard_algorithms(
-            g,
-            nca_budget=120.0,
-            gn_max_nodes=400,       # GN times out on Polblogs (paper §6.3)
-        )
+        algos = standard_algorithms(g)
         df = run_algorithms(g, comms, algos, queries, dataset=name)
         frames.append(summarize(df))
         print(f"[e15] finished {name}")

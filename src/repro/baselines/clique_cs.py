@@ -14,20 +14,18 @@ from typing import FrozenSet, Iterable, List, Optional, Set
 
 from ..graphs.local import LocalGraph
 
-# maximal cliques enumerated before giving up (returns None, like max_nodes)
+# largest component of Q searched; a larger one returns None
+MAX_NODES = 3000
+# maximal cliques enumerated before giving up (returns None, like MAX_NODES)
 MAX_CLIQUES = 200_000
 
 
-def clique_cs(
-    g: LocalGraph,
-    queries: Iterable[int],
-    max_nodes: int = 3000,
-) -> Optional[Set[int]]:
+def clique_cs(g: LocalGraph, queries: Iterable[int]) -> Optional[Set[int]]:
     found = g.query_component(queries)
     if found is None:
         return None
     qs, comp = found
-    if len(comp) > max_nodes:
+    if len(comp) > MAX_NODES:
         return None  # over budget (paper: no result within time limit)
     sub = g.subgraph(comp)
     cliques: List[FrozenSet[int]] = []

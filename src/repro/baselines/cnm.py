@@ -15,15 +15,16 @@ from typing import Dict, Iterable, Optional, Set
 from ..core.modularity import density_modularity
 from ..graphs.local import LocalGraph
 
+# largest component of Q clustered; a larger one returns None
+MAX_NODES = 50_000
 
-def cnm(
-    g: LocalGraph, queries: Iterable[int], max_nodes: int = 50_000
-) -> Optional[Set[int]]:
+
+def cnm(g: LocalGraph, queries: Iterable[int]) -> Optional[Set[int]]:
     found = g.query_component(queries)
     if found is None:
         return None
     qs, comp = found
-    if len(comp) > max_nodes:
+    if len(comp) > MAX_NODES:
         return None
     sub = g.subgraph(comp)
     m = g.m  # modularity/DM normalization uses the full graph

@@ -14,15 +14,17 @@ from typing import Iterable, Optional, Set
 from ..core.modularity import dm_of
 from ..graphs.local import LocalGraph
 
+# largest component of Q split; a larger one returns None. It cuts
+# Polblogs (about 1.2K nodes), where the paper's GN also ran out of time.
+MAX_NODES = 400
 
-def gn(
-    g: LocalGraph, queries: Iterable[int], max_nodes: int = 400
-) -> Optional[Set[int]]:
+
+def gn(g: LocalGraph, queries: Iterable[int]) -> Optional[Set[int]]:
     found = g.query_component(queries)
     if found is None:
         return None
     qs, comp = found
-    if len(comp) > max_nodes:
+    if len(comp) > MAX_NODES:
         return None
     sub = g.subgraph(comp)
     qset = set(qs)

@@ -20,12 +20,14 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.nca import Key, RemovalQueue
+from ..core.nca import Key, RemovalQueue, query_start
 from ..core.peel import PeelState
 from ..graphs.local import LocalGraph
 
 # pi_v = ETA^-dist; at ETA = 0.5 that is 2^dist, kept as an exact int
 ETA = 0.5
+# largest component of Q peeled; a larger one returns None
+MAX_NODES = 50_000
 
 
 def wu_key(top: int) -> Key:
@@ -35,37 +37,27 @@ def wu_key(top: int) -> Key:
 
 
 def wu2015_queue(
-    g: LocalGraph, queries: Iterable[int], max_nodes: int = 50_000
+    g: LocalGraph, queries: Iterable[int]
 ) -> Optional[Tuple[PeelState, RemovalQueue, List[int], int]]:
     """wu2015's start: the ``PeelState`` over the component of Q, its
     ``RemovalQueue`` in query-distance classes, the query distance per
     position and the sum of pi = 2^dist over S; None where Q has no
-    connected community or it exceeds ``max_nodes``."""
-    found = g.query_bfs(queries)
+    connected community or it exceeds ``MAX_NODES``."""
+    found = query_start(g, queries, "dm")
     if found is None:
         return None
-    qs, order, bounds = found
-    if len(order) > max_nodes:
+    state, qpos, lev, dist = found
+    if state.S.size > MAX_NODES:
         return None
-    csr = g.csr()
-    qpos = csr.positions(qs)
-    lev = csr.levels(order, bounds)  # from qs[0], over the component
-    if len(qs) > 1:  # distances from the nearest query node
-        order, bounds = csr.bfs(qpos)
-    state = PeelState(g, csr.ids[order])
-    n, dist = csr.n, csr.levels(order, bounds)
+    n = state.csr.n
     # min (k/pi, -pi, id) is max (-(k/pi), dist, -position): pi grows with dist
     tie = dist * n + (n - 1 - np.arange(n))
     queue = RemovalQueue(state, qpos, dist, tie, lev, wu_key(int(dist.max())))
-    return state, queue, dist.tolist(), sum(1 << d for d in dist[order].tolist())
+    return state, queue, dist.tolist(), sum(1 << d for d in dist[state.S.array()].tolist())
 
 
-def wu2015(
-    g: LocalGraph,
-    queries: Iterable[int],
-    max_nodes: int = 50_000,
-) -> Optional[Set[int]]:
-    found = wu2015_queue(g, queries, max_nodes)
+def wu2015(g: LocalGraph, queries: Iterable[int]) -> Optional[Set[int]]:
+    found = wu2015_queue(g, queries)
     if found is None:
         return None
     state, queue, dist, w = found

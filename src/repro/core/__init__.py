@@ -9,13 +9,12 @@ from .modularity import (
     dm_of,
     generalized_modularity_density,
 )
-from .nca import nca, nca_dr
+from .nca import nca
 from .steiner import steiner_connector
 
 __all__ = [
     "fpa",
     "nca",
-    "nca_dr",
     "steiner_connector",
     "classic_modularity",
     "density_modularity",

@@ -59,7 +59,7 @@ import numpy as np
 from ..graphs.local import CSR, LocalGraph
 from .modularity import scores_of
 from .nca import RemovalQueue, dmg_key
-from .peel import PeelState
+from .peel import PeelState, best_prefix
 from .steiner import steiner_connector
 
 # The rest of a layer is dropped only when UB < LB − SKIP_MARGIN·max(|LB|, 1),
@@ -204,16 +204,14 @@ class _Layers:
             yield
 
     def _offer(self, j: int) -> None:
-        """Score the sets layer j visited after P_j and keep the best."""
+        """Score the sets layer j visited and keep the best. P_j itself
+        (t = 0) cannot displace the incumbent, which already holds the
+        best prefix score with the smallest prefix among ties."""
         log, logk = self.logs[j]
-        if not log:
-            return
-        l = self.l[j] - np.cumsum(np.array(logk, dtype=np.int64))
-        d = self.d[j] - np.cumsum(self.csr.deg[log])
-        size = self.bounds[j + 1] - np.arange(1, len(log) + 1)
-        s = scores_of(self.measure, l, d, size, self.m)
-        t = len(s) - int(np.argmax(s[::-1]))  # a tie keeps the later, smaller set
-        score, n = float(s[t - 1]), int(size[t - 1])
+        size = int(self.bounds[j + 1])
+        t, score = best_prefix(self.measure, (self.l[j], self.d[j], size), self.m,
+                               self.csr.deg, log, logk)
+        n = size - t
         if score > self.best[0] or (score == self.best[0] and n < self.best[1]):
             self.best = (score, n, j, t)
 

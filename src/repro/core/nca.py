@@ -51,17 +51,19 @@ S is connected at every step, so the node removed is the argmax over
 the non-articulation nodes, as in the paper, without the articulation
 set. ``PeelState`` keeps the incumbent (Algorithm 1's best S) as a
 prefix of its removal log and rebuilds it once at the end. Everything
-is on CSR positions (``LocalGraph.csr``); wu2015 runs the same queue
-with BFS-distance classes, and FPA-DMG drains each of its layers with it.
+is on CSR positions (``LocalGraph.csr``); wu2015 runs the same start
+(:func:`query_start`) and queue with BFS-distance classes, and FPA-DMG
+drains each of its layers with the queue.
 
-``scorer="ratio"`` gives the NCA-DR variant ((a)+(d), Figure 14).
-``time_budget`` (seconds) bounds the loop: on expiry the best incumbent
-found so far is returned.
+``scorer="ratio"`` gives the NCA-DR variant ((a)+(d), Figure 14). NCA
+peels until no candidate is left. It has no time budget: the paper needs
+one for its Tarjan pass per removal, but with the queue the slowest
+Figure 11 query (n = 20K) takes 0.31 s on a 4-core VM, and a budget
+would only make the answer depend on the host's speed.
 """
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -285,12 +287,14 @@ class RemovalQueue:
                 orphans.append(w)
 
 
-def nca_queue(
-    g: LocalGraph, queries: Iterable[int], scorer: str = "dmg", measure: str = "dm"
-) -> Optional[Tuple[PeelState, RemovalQueue]]:
-    """NCA's start: the ``PeelState`` over the component of Q and its
-    ``RemovalQueue`` in degree classes, keyed by Λ or Θ; None where Q
-    has no connected community."""
+def query_start(
+    g: LocalGraph, queries: Iterable[int], measure: str
+) -> Optional[Tuple[PeelState, np.ndarray, np.ndarray, np.ndarray]]:
+    """The start of a connected peel of the component of Q, shared by NCA
+    and wu2015: its ``PeelState``, Q's positions, the BFS levels from the
+    first query node (``RemovalQueue``'s ``lev``) and the distance of
+    every position from the nearest query node (-1 outside the
+    component); None where Q has no connected community."""
     found = g.query_bfs(queries)
     if found is None:
         return None
@@ -300,36 +304,34 @@ def nca_queue(
     lev = csr.levels(order, bounds)  # from qs[0], over the component
     if len(qs) > 1:  # distances from the nearest query node
         order, bounds = csr.bfs(qpos)
-    state = PeelState(g, csr.ids[order], measure)
+    return PeelState(g, csr.ids[order], measure), qpos, lev, csr.levels(order, bounds)
+
+
+def nca_queue(
+    g: LocalGraph, queries: Iterable[int], scorer: str = "dmg", measure: str = "dm"
+) -> Optional[Tuple[PeelState, RemovalQueue]]:
+    """NCA's start: the ``PeelState`` over the component of Q and its
+    ``RemovalQueue`` in degree classes, keyed by Λ or Θ; None where Q
+    has no connected community."""
+    found = query_start(g, queries, measure)
+    if found is None:
+        return None
+    state, qpos, lev, dist = found
+    csr = state.csr
     # Positions are in id order, so the key (score, dist, id) becomes
     # (score, dist·n + position).
-    tie = csr.levels(order, bounds) * csr.n + np.arange(csr.n)
+    tie = dist * csr.n + np.arange(csr.n)
     key = dmg_key(g.m) if scorer == "dmg" else ratio_key(int(csr.deg.max()))
     return state, RemovalQueue(state, qpos, csr.deg, tie, lev, key)
 
 
 def nca(
-    g: LocalGraph,
-    queries: Iterable[int],
-    *,
-    scorer: str = "dmg",
-    measure: str = "dm",
-    time_budget: float | None = None,
+    g: LocalGraph, queries: Iterable[int], *, scorer: str = "dmg", measure: str = "dm"
 ) -> Optional[Set[int]]:
     found = nca_queue(g, queries, scorer, measure)
     if found is None:
         return None
     state, queue = found
-    t0 = time.monotonic()
-    while True:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        if (u := queue.best()) is None:
-            break  # every candidate left is an articulation point
+    while (u := queue.best()) is not None:  # None: every candidate left cuts S
         queue.remove(u)
     return state.best()
-
-
-def nca_dr(g: LocalGraph, queries: Iterable[int], **kw) -> Optional[Set[int]]:
-    """NCA with the density-ratio scorer ((a)+(d) in Figure 3/14)."""
-    return nca(g, queries, scorer="ratio", **kw)

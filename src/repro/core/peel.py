@@ -20,13 +20,13 @@ removals go to an append-only log (``order`` and the ``k_{v,S}`` each
 node had when it left). The incumbent is the start set minus the prefix
 ``order[:best_len]``, and a later S replaces it when it scores at least
 as well, so ties go to the smaller set. ``best()`` finds that prefix
-with one vectorised scan of the log and rebuilds the incumbent once, at
-the end.
+with one vectorised scan of the log (:func:`best_prefix`, which FPA's
+layers share) and rebuilds the incumbent once, at the end.
 """
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,6 +69,22 @@ def _count_k(csr: CSR, alive: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(alive)
     own = np.repeat(rows, csr.deg[rows])
     return np.bincount(own[alive[csr.neighbours(rows)]], minlength=csr.n)
+
+
+def best_prefix(measure: str, start: Tuple[int, int, int], m: int, deg: np.ndarray,
+                removed: Sequence[int], removed_k: Sequence[int]) -> Tuple[int, float]:
+    """(t, score): the last t whose S_t, the start set with
+    ``start`` = (l, d, |S|) minus the first t positions of ``removed``,
+    scores highest under ``measure``, found by scoring every S_t at once.
+    ``removed_k[i]`` is the k_{v,S} that ``removed[i]`` had when it left."""
+    l0, d0, n0 = start
+    t = np.arange(len(removed) + 1)
+    l = l0 - np.concatenate(([0], np.cumsum(removed_k, dtype=np.int64)))
+    removed_deg = deg[np.array(removed, dtype=np.int64)]
+    d = d0 - np.concatenate(([0], np.cumsum(removed_deg, dtype=np.int64)))
+    scores = scores_of(measure, l, d, n0 - t, m)
+    best = len(scores) - 1 - int(np.argmax(scores[::-1]))  # a tie keeps the later S
+    return best, float(scores[best])
 
 
 class PeelState:
@@ -122,16 +138,8 @@ class PeelState:
 
     # ------------------------------------------------------------ incumbent
     def _scan(self) -> Tuple[int, float]:
-        """(best_len, best_score): the last prefix of the log whose S
-        scores highest, found by scoring every S_t at once."""
-        l0, d0, n0 = self.start
-        order = np.array(self.order, dtype=np.int64)
-        t = np.arange(len(order) + 1)
-        l = l0 - np.concatenate(([0], np.cumsum(self.removed_k, dtype=np.int64)))
-        d = d0 - np.concatenate(([0], np.cumsum(self.csr.deg[order], dtype=np.int64)))
-        scores = scores_of(self.measure, l, d, n0 - t, self.m)
-        best = len(order) - int(np.argmax(scores[::-1]))  # a tie keeps the later S
-        return best, float(scores[best])
+        """(best_len, best_score) of the log (:func:`best_prefix`)."""
+        return best_prefix(self.measure, self.start, self.m, self.csr.deg, self.order, self.removed_k)
 
     @property
     def best_len(self) -> int:

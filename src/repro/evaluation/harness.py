@@ -26,7 +26,7 @@ from ..baselines import (
     kt,
     wu2015,
 )
-from ..core import dm_of, fpa, nca, nca_dr
+from ..core import dm_of, fpa, nca
 from ..graphs.local import LocalGraph
 from ..graphs.localops import core_numbers, truss_numbers
 from .metrics import score_against_best_truth
@@ -34,18 +34,12 @@ from .metrics import score_against_best_truth
 AlgoFn = Callable[[LocalGraph, List[int]], Optional[Set[int]]]
 
 
-def standard_algorithms(
-    g: LocalGraph,
-    include: Sequence[str] | None = None,
-    *,
-    nca_budget: float | None = 120.0,
-    gn_max_nodes: int = 400,
-) -> Dict[str, AlgoFn]:
+def standard_algorithms(g: LocalGraph, include: Sequence[str] | None = None) -> Dict[str, AlgoFn]:
     """The paper's §6.1 algorithm roster as name → fn(graph, Q) closures.
 
-    Each baseline runs with its own defaults (k = 3 for kc and kecc,
-    k = 4 for kt); only NCA's time budget and GN's node budget vary by
-    experiment. Core/truss indices are computed once here and shared
+    Each algorithm runs with its own defaults (k = 3 for kc and kecc,
+    k = 4 for kt) and node caps (``MAX_NODES`` of clique, CNM, GN and
+    wu2015). Core/truss indices are computed once here and shared
     across queries (the per-dataset index of DESIGN.md §2). ``kt`` and
     ``hightruss`` accept only single-query sets, as in the paper
     (Figure 10 note).
@@ -65,13 +59,13 @@ def standard_algorithms(
         "kt": _single(lambda gg, q: kt(gg, q, truss=truss)),
         "kecc": kecc_cs,
         "CNM": cnm,
-        "GN": lambda gg, q: gn(gg, q, max_nodes=gn_max_nodes),
+        "GN": gn,
         "icwi2008": icwi2008,
         "huang2015": lambda gg, q: huang2015(gg, q, truss=truss),
         "wu2015": wu2015,
         "highcore": lambda gg, q: highcore(gg, q, cores=cores),
         "hightruss": _single(lambda gg, q: hightruss(gg, q, truss=truss)),
-        "NCA": lambda gg, q: nca(gg, q, time_budget=nca_budget),
+        "NCA": nca,
         "FPA": fpa,
     }
     if include is not None:
@@ -79,11 +73,11 @@ def standard_algorithms(
     return algos
 
 
-def variant_algorithms(nca_budget: float | None = 120.0) -> Dict[str, AlgoFn]:
+def variant_algorithms() -> Dict[str, AlgoFn]:
     """Figure 14's four (removable, scorer) combinations."""
     return {
-        "NCA": lambda gg, q: nca(gg, q, time_budget=nca_budget),
-        "NCA-DR": lambda gg, q: nca_dr(gg, q, time_budget=nca_budget),
+        "NCA": nca,
+        "NCA-DR": lambda gg, q: nca(gg, q, scorer="ratio"),
         "FPA-DMG": lambda gg, q: fpa(gg, q, scorer="dmg"),
         "FPA": fpa,
     }

@@ -1,4 +1,6 @@
 """The eleven §6.1 baselines: structural invariants and reference checks."""
+import sys
+
 import networkx as nx
 import pytest
 
@@ -21,6 +23,16 @@ from repro.graphs.local import LocalGraph
 from repro.graphs.localops import core_numbers, truss_numbers
 
 from .util import GNP_CASES, equivalence_cases, random_local_graph, to_nx
+
+
+def assert_node_cap(monkeypatch, fn, g):
+    """``fn``'s ``MAX_NODES`` binds exactly: on a connected ``g``, the query
+    0 gets None when the cap is one below |V| and an answer when it is |V|."""
+    module = sys.modules[fn.__module__]
+    monkeypatch.setattr(module, "MAX_NODES", g.n - 1)
+    assert fn(g, [0]) is None
+    monkeypatch.setattr(module, "MAX_NODES", g.n)
+    assert 0 in fn(g, [0])
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +226,8 @@ class TestClique:
         r = clique_cs(g, [0])
         assert r == comms[0]
 
-    def test_budget_returns_none(self, kg):
-        g, _ = kg
-        assert clique_cs(g, [0], max_nodes=5) is None
+    def test_budget_returns_none(self, kg, monkeypatch):
+        assert_node_cap(monkeypatch, clique_cs, kg[0])
 
 
 class TestCNM:
@@ -238,6 +249,9 @@ class TestCNM:
         # CNM + DM selection: community containing q should stay cliquey
         assert 0 in r and len(r) <= 2 * 5
 
+    def test_budget_none(self, kg, monkeypatch):
+        assert_node_cap(monkeypatch, cnm, kg[0])
+
 
 class TestGN:
     def test_karate(self, kg):
@@ -246,9 +260,8 @@ class TestGN:
             r = gn(g, [q])
             assert q in r and g.subgraph(r).is_connected()
 
-    def test_budget_none(self, kg):
-        g, _ = kg
-        assert gn(g, [0], max_nodes=5) is None
+    def test_budget_none(self, kg, monkeypatch):
+        assert_node_cap(monkeypatch, gn, kg[0])
 
     def test_two_triangles(self):
         g = LocalGraph.from_edges(
@@ -271,15 +284,13 @@ class TestLuo:
         assert {0, 1, 2} <= r
 
 
-def wu2015_reference(g, queries, eta=0.5, max_nodes=50_000):
+def wu2015_reference(g, queries, eta=0.5):
     """wu2015 as first written: it peels its own copy of the component,
     with a full Tarjan pass after every removal."""
     found = g.query_component(queries)
     if found is None:
         return None
     qs, comp = found
-    if len(comp) > max_nodes:
-        return None
     dist = g.bfs_dist(qs)
     pi = {v: eta ** (-dist[v]) for v in comp}
 
@@ -334,9 +345,8 @@ class TestWu2015:
         sub = g.subgraph(r)
         assert max(sub.bfs_dist([0]).values()) <= 3
 
-    def test_budget_none(self, kg):
-        g, _ = kg
-        assert wu2015(g, [0], max_nodes=5) is None
+    def test_budget_none(self, kg, monkeypatch):
+        assert_node_cap(monkeypatch, wu2015, kg[0])
 
     @pytest.mark.parametrize("n", [60, 1100])
     def test_path_past_float_range(self, n):
@@ -360,7 +370,7 @@ class TestAllReturnValidSets:
 
         g, comms = lfr_small
         q = sorted(max(comms, key=len))[0]
-        algos = standard_algorithms(g, include=[name], gn_max_nodes=0)
+        algos = standard_algorithms(g, include=[name])
         r = algos[name](g, [q])
         if r is not None:
             assert q in r

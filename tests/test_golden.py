@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import pytest
 
 from repro import baselines
-from repro.core import fpa, nca, nca_dr
+from repro.core import fpa, nca
 from repro.evaluation.datasets import lfr
 from repro.evaluation.queries import query_sets
 from repro.gendata.classic import karate, ring_of_cliques
@@ -49,7 +49,7 @@ def _configs() -> Dict[str, Callable]:
                     lambda g, q, s=scorer, m=measure, p=prune: fpa(
                         g, q, scorer=s, measure=m, prune=p))
     out["nca"] = nca
-    out["nca-dr"] = nca_dr
+    out["nca-dr"] = lambda g, q: nca(g, q, scorer="ratio")
     return out
 
 
